@@ -8,7 +8,7 @@ Example:
 import argparse
 
 from qkring.cohomology import consistency_report
-from qkring.truncation import _pow2_str, corollary2_table
+from qkring.truncation import corollary2_table, pow2_str
 
 
 def main():
@@ -22,7 +22,7 @@ def main():
     print("n\\N " + "".join(f"{N:>8}" for N in range(args.N_max + 1)))
     for n in range(3, args.n_max + 1):
         row = [c for c in cells if c.n == n]
-        print(f"{n:<4}" + "".join(f"{_pow2_str(c.order):>8}" for c in row))
+        print(f"{n:<4}" + "".join(f"{pow2_str(c.order):>8}" for c in row))
     mismatches = [c for c in cells if not c.match]
     print(f"\n{len(cells)} cells, {len(mismatches)} mismatches")
 

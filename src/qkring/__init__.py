@@ -4,8 +4,7 @@ and element orders in the associated truncated rings."""
 
 from .adams import PhiPoly, compose_check, g_poly, psi_oracle, psi_series, verify_g_identity
 from .cohomology import CohGroup, consistency_report, h_group, predicted_reduced_order
-from .intmath import (CyclotomicInt, IntPoly, binomial, chebyshev_t, cyclo_mul,
-                      two_adic_valuation)
+from .intmath import CyclotomicInt, IntPoly, binomial, chebyshev_t, two_adic_valuation
 from .intmatrix import SmithForm, determinant, smith_normal_form
 from .kring import (KElement, RelationSet, basis_change_matrix, embed_to_R,
                     multiply_nf, reduce, relations_for, verify_embedding,

@@ -100,8 +100,8 @@ def _cmd_order(args) -> int:
                                 2 ** (args.n + 2 * args.N))
     lines = [
         f"order(phi) in the truncation (n={args.n}, N={args.N}): "
-        f"{cell.order} = {truncation._pow2_str(cell.order)}",
-        f"expected 2^(n+2N) = {cell.expected} = {truncation._pow2_str(cell.expected)}",
+        f"{cell.order} = {truncation.pow2_str(cell.order)}",
+        f"expected 2^(n+2N) = {cell.expected} = {truncation.pow2_str(cell.expected)}",
         f"match: {'yes' if cell.match else 'NO'}",
     ]
     _emit(args, cell.to_json(), lines)
@@ -116,7 +116,7 @@ def _cmd_table(args) -> int:
     for n in range(3, args.n_max + 1):
         row = [c for c in cells if c.n == n]
         lines.append(f"{n:<4}" + "".join(
-            f"{truncation._pow2_str(c.order):>8}" for c in row))
+            f"{truncation.pow2_str(c.order):>8}" for c in row))
     lines.append("all cells match expected 2^(n+2N)" if all_match
                  else "MISMATCH against expected 2^(n+2N)")
     payload = {"n_max": args.n_max, "N_max": args.N_max,
@@ -211,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args) -> str | None:
-    # upper bounds keep every verb interactive; the library itself is unbounded
+    # values outside these bounds exit with 2; the library itself is unbounded.
+    # Inside them a run can still take minutes (order --n 6 --N 12; ROADMAP item 2).
     checks = [
         ("n", lambda v: 3 <= v <= 10, "--n must be in [3, 10]"),
         ("N", lambda v: 0 <= v <= 16, "--N must be in [0, 16]"),

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .repring import GroupParams, phi_element
-from .truncation import (TruncatedQuotient, _pow2_str, order_of, torsion_order,
+from .truncation import (TruncatedQuotient, order_of, pow2_str, torsion_order,
                          truncated_quotient)
 
 
@@ -98,8 +98,8 @@ class ConsistencyReport:
 
     def lines(self):
         out = [
-            f"order(phi): computed {_pow2_str(self.phi_order)}, "
-            f"expected 2^(n+2N) = {_pow2_str(self.phi_expected)}, "
+            f"order(phi): computed {pow2_str(self.phi_order)}, "
+            f"expected 2^(n+2N) = {pow2_str(self.phi_expected)}, "
             f"match: {'yes' if self.phi_match else 'NO'}",
             f"reduced torsion of the truncation: {self.torsion}",
             f"cohomology product through degree {4 * self.N + 2}: {self.predicted}"
@@ -113,8 +113,8 @@ class ConsistencyReport:
         return {
             "n": self.n,
             "N": self.N,
-            "phi_order": _pow2_str(self.phi_order),
-            "phi_expected": _pow2_str(self.phi_expected),
+            "phi_order": pow2_str(self.phi_order),
+            "phi_expected": pow2_str(self.phi_expected),
             "phi_match": self.phi_match,
             "torsion": str(self.torsion),
             "predicted_reduced": str(self.predicted),

@@ -1,0 +1,118 @@
+"""Free Z-modules of finite rank with a bilinear product.
+
+R(Q_{4k}), the presented K-ring and the lens ring Z[eta]/(eta^(2k) - 1) are
+each a free Z-module multiplied by a table of structure constants.  Their
+element classes subclass ``Element``, which does the module operations and
+the product; a ``Ring`` builds its table on the first product that needs it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from functools import cached_property
+
+from .intmath import format_terms
+
+
+@dataclass(frozen=True)
+class Ring:
+    """Basis labels and lazily built structure constants of one ring.
+
+    Descriptors are equal when their names are ("R(Q_16)", parameter
+    included).  ``param`` is what the element classes expose; basis element
+    0 is the unit.  ``build()`` returns ``table``: ``table[i][j]`` holds the
+    pairs ``(t, c)`` with b_i * b_j = sum of c * b_t.
+    """
+
+    name: str
+    param: object = field(compare=False, repr=False)
+    labels: tuple = field(compare=False, repr=False)
+    build: object = field(compare=False, repr=False)
+
+    @cached_property
+    def table(self):
+        return self.build()
+
+
+def commutative_table(rank: int, product):
+    """Sparse table of a commutative product; ``product(i, j)`` gives the
+    coefficient vector of b_i * b_j and is asked only for i <= j.  Equal
+    products share one entry."""
+    table = [[()] * rank for _ in range(rank)]
+    entries = {}
+    for i in range(rank):
+        for j in range(i, rank):
+            vector = tuple(product(i, j))
+            entry = tuple((t, c) for t, c in enumerate(vector) if c)
+            table[i][j] = table[j][i] = entries.setdefault(vector, entry)
+    return table
+
+
+@dataclass(frozen=True)
+class Element:
+    """Immutable integer vector over the basis of ``ring``."""
+
+    __slots__ = ("ring", "coeffs")
+    ring: Ring
+    coeffs: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        if len(self.coeffs) != len(self.ring.labels):
+            raise ValueError(
+                f"expected {len(self.ring.labels)} coefficients, got {len(self.coeffs)}")
+
+    def _new(self, coeffs):
+        """An element of the same class and ring; skips the subclass constructor."""
+        out = object.__new__(type(self))
+        object.__setattr__(out, "ring", self.ring)
+        object.__setattr__(out, "coeffs", tuple(coeffs))
+        return out
+
+    def _check(self, other: "Element"):
+        if self.ring != other.ring:
+            raise ValueError(f"mismatched parameters: {self.ring.name} vs {other.ring.name}")
+
+    def __add__(self, other: "Element") -> "Element":
+        self._check(other)
+        return self._new(a + b for a, b in zip(self.coeffs, other.coeffs))
+
+    def __sub__(self, other: "Element") -> "Element":
+        self._check(other)
+        return self._new(a - b for a, b in zip(self.coeffs, other.coeffs))
+
+    def __neg__(self) -> "Element":
+        return self._new(-a for a in self.coeffs)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return self._new(a * other for a in self.coeffs)
+        if not isinstance(other, Element):
+            return NotImplemented
+        self._check(other)
+        out = [0] * len(self.coeffs)
+        for x, row in zip(self.coeffs, self.ring.table):
+            if x:
+                for y, entry in zip(other.coeffs, row):
+                    if y:
+                        xy = x * y
+                        for t, c in entry:
+                            out[t] += xy * c
+        return self._new(out)
+
+    __rmul__ = __mul__  # reached only with an integer on the left
+
+    def __pow__(self, e: int) -> "Element":
+        if e < 0:
+            raise ValueError(f"negative powers are not defined in {self.ring.name}")
+        acc = self._new((1,) + (0,) * (len(self.coeffs) - 1))
+        for _ in range(e):
+            acc = acc * self
+        return acc
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def __str__(self) -> str:
+        return format_terms((c, label if i else "")
+                            for i, (c, label) in enumerate(zip(self.coeffs, self.ring.labels)))

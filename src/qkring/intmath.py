@@ -250,8 +250,3 @@ class CyclotomicInt:
         terms = [(c, "z" if j == 1 else f"z^{j}" if j else "")
                  for j, c in enumerate(self.coeffs)]
         return format_terms(terms)
-
-
-def cyclo_mul(a: CyclotomicInt, b: CyclotomicInt) -> CyclotomicInt:
-    """Product in Z[zeta]; both factors must share the same k."""
-    return a * b

@@ -1,8 +1,10 @@
 """Exact integer matrices: Smith normal form with transforms, determinants.
 
-All matrices are dense lists of lists of Python ints.  The sizes that occur
-in this project are at most (k+3) x (k+3) with k <= 64, so there is no need
-for anything cleverer than smallest-pivot elimination.
+All matrices are dense lists of lists of Python ints, at most (k+3) x (k+3)
+with k <= 256 from the CLI.  Smallest-pivot elimination does not bound the
+size of the transforms: on the n=6 truncation lattice, whose entries have
+11 to 23 bits, entries of U reach 679,148 bits at N=10.  ROADMAP open item 2
+plans modular arithmetic instead.
 """
 
 from __future__ import annotations

@@ -19,7 +19,9 @@ triples (a, b, c) for v1^a * v2^b * phi^c.  Oriented left-to-right, every
 rule strictly decreases (number of v-factors, total degree) in
 lexicographic order, which is what makes ``reduce`` terminate.  (Total
 degree alone does not work: the right side of relation 5 contains
-phi^(k-1).)  Normal forms live on the basis {1, v1, v2, phi, ..., phi^k}.
+phi^(k-1).)  Normal forms live on the basis {1, v1, v2, phi, ..., phi^k};
+their product contracts a table of reduced basis products, built on the
+first product for each n.
 
 Correctness is certified against R(Q_{4k}): the basis-change matrix of the
 embedding is unimodular and normal-form multiplication commutes with the
@@ -29,9 +31,11 @@ embedding on all basis pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
+from operator import mul
 
 from .adams import PhiPoly, g_poly, psi_series
+from .freemodule import Element, Ring, commutative_table
 from .intmatrix import determinant
 from .intmath import format_terms
 from .report import Check, Report
@@ -199,13 +203,6 @@ def relations_for(n: int) -> RelationSet:
 # rewriting
 # ---------------------------------------------------------------------------
 
-def _is_basis_mono(mono: Mono, k: int) -> bool:
-    a, b, c = mono
-    if a == b == 0:
-        return c <= k
-    return (a, b, c) in ((1, 0, 0), (0, 1, 0))
-
-
 def _measure(mono: Mono):
     a, b, c = mono
     return (a + b, a + b + c, mono)
@@ -253,67 +250,42 @@ def rewrite(expr: dict, rset: RelationSet, labels=None) -> dict:
 # normal-form elements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KElement:
+def _basis_monos(k: int):
+    """Monomials of the normal-form basis 1, v1, v2, phi, ..., phi^k, in order."""
+    return [(0, 0, 0), (1, 0, 0), (0, 1, 0)] + [(0, 0, j) for j in range(1, k + 1)]
+
+
+class KElement(Element):
     """Normal form over the basis {1, v1, v2, phi, ..., phi^k}."""
 
-    n: int
-    c0: int
-    a1: int
-    a2: int
-    phi: tuple  # length k, coefficients of phi^1..phi^k
+    __slots__ = ()
 
-    def __post_init__(self):
-        k = GroupParams(self.n).k
-        if len(self.phi) != k:
-            raise ValueError(f"expected {k} phi-coefficients, got {len(self.phi)}")
-        object.__setattr__(self, "phi", tuple(self.phi))
+    def __init__(self, n: int, c0: int, a1: int, a2: int, phi):
+        super().__init__(_ring(n), (c0, a1, a2) + tuple(phi))
 
-    def _check(self, other: "KElement"):
-        if self.n != other.n:
-            raise ValueError("mismatched group parameters")
+    @property
+    def n(self) -> int:
+        return self.ring.param
 
-    def __add__(self, other: "KElement") -> "KElement":
-        self._check(other)
-        return KElement(self.n, self.c0 + other.c0, self.a1 + other.a1,
-                        self.a2 + other.a2,
-                        tuple(a + b for a, b in zip(self.phi, other.phi)))
+    @property
+    def c0(self) -> int:
+        return self.coeffs[0]
 
-    def __sub__(self, other: "KElement") -> "KElement":
-        self._check(other)
-        return KElement(self.n, self.c0 - other.c0, self.a1 - other.a1,
-                        self.a2 - other.a2,
-                        tuple(a - b for a, b in zip(self.phi, other.phi)))
+    @property
+    def a1(self) -> int:
+        return self.coeffs[1]
 
-    def __neg__(self) -> "KElement":
-        return KElement(self.n, -self.c0, -self.a1, -self.a2,
-                        tuple(-a for a in self.phi))
+    @property
+    def a2(self) -> int:
+        return self.coeffs[2]
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return KElement(self.n, self.c0 * other, self.a1 * other,
-                            self.a2 * other, tuple(a * other for a in self.phi))
-        if isinstance(other, KElement):
-            return multiply_nf(self, other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
+    @property
+    def phi(self) -> tuple:
+        """Coefficients of phi^1, ..., phi^k."""
+        return self.coeffs[3:]
 
     def to_fp(self) -> dict:
-        fp: dict = {}
-        if self.c0:
-            fp[(0, 0, 0)] = self.c0
-        if self.a1:
-            fp[(1, 0, 0)] = self.a1
-        if self.a2:
-            fp[(0, 1, 0)] = self.a2
-        for j, c in enumerate(self.phi, start=1):
-            if c:
-                fp[(0, 0, j)] = c
-        return fp
+        return {mono: c for mono, c in zip(_basis_monos(len(self.phi)), self.coeffs) if c}
 
     def to_json_dict(self) -> dict:
         return {"c0": str(self.c0), "v1": str(self.a1), "v2": str(self.a2),
@@ -328,32 +300,53 @@ class KElement:
         return fp_format(self.to_fp())
 
 
+@lru_cache(maxsize=None)
+def _ring(n: int) -> Ring:
+    order = GroupParams(n).group_order
+    return Ring(f"K(BQ_{order})", n, nf_basis_labels(n), partial(_table, n))
+
+
+def _table(n: int):
+    """Structure constants: each product of two basis monomials, reduced.
+    Pairs with the same product monomial, such as phi * phi^3 and
+    phi^2 * phi^2, share one reduction."""
+    monos = _basis_monos(GroupParams(n).k)
+    reduced = lru_cache(maxsize=None)(lambda mono: reduce({mono: 1}, n).coeffs)
+    return commutative_table(len(monos), lambda i, j: reduced(
+        tuple(x + y for x, y in zip(monos[i], monos[j]))))
+
+
+def _k_basis(n: int, idx: int) -> KElement:
+    coeffs = [0] * GroupParams(n).basis_size
+    coeffs[idx] = 1
+    return KElement(n, *coeffs[:3], coeffs[3:])
+
+
 def k_zero(n: int) -> KElement:
     return KElement(n, 0, 0, 0, (0,) * GroupParams(n).k)
 
 
 def k_one(n: int) -> KElement:
-    return KElement(n, 1, 0, 0, (0,) * GroupParams(n).k)
+    return _k_basis(n, 0)
 
 
 def k_v1(n: int) -> KElement:
-    return KElement(n, 0, 1, 0, (0,) * GroupParams(n).k)
+    return _k_basis(n, 1)
 
 
 def k_v2(n: int) -> KElement:
-    return KElement(n, 0, 0, 1, (0,) * GroupParams(n).k)
+    return _k_basis(n, 2)
 
 
 def k_phi_power(n: int, j: int) -> KElement:
     k = GroupParams(n).k
     if not 1 <= j <= k:
         raise ValueError(f"phi^{j} is not a basis element for k={k}")
-    return KElement(n, 0, 0, 0, tuple(int(i == j) for i in range(1, k + 1)))
+    return _k_basis(n, 2 + j)
 
 
 def nf_basis(n: int):
-    k = GroupParams(n).k
-    return [k_one(n), k_v1(n), k_v2(n)] + [k_phi_power(n, j) for j in range(1, k + 1)]
+    return [_k_basis(n, i) for i in range(GroupParams(n).basis_size)]
 
 
 def nf_basis_labels(n: int):
@@ -364,27 +357,18 @@ def nf_basis_labels(n: int):
 def reduce(expr: dict, n: int) -> KElement:
     """Full normal form of a formal polynomial in v1, v2, phi."""
     rset = relations_for(n)
-    fp = rewrite(expr, rset)
-    k = rset.k
-    c0 = a1 = a2 = 0
-    phi = [0] * k
-    for mono, c in fp.items():
-        if not _is_basis_mono(mono, k):
+    index = {mono: i for i, mono in enumerate(_basis_monos(rset.k))}
+    coeffs = [0] * len(index)
+    for mono, c in rewrite(expr, rset).items():
+        if mono not in index:
             raise ArithmeticError(f"stuck monomial {mono_name(mono)} survived reduction")
-        if mono == (0, 0, 0):
-            c0 = c
-        elif mono == (1, 0, 0):
-            a1 = c
-        elif mono == (0, 1, 0):
-            a2 = c
-        else:
-            phi[mono[2] - 1] = c
-    return KElement(n, c0, a1, a2, tuple(phi))
+        coeffs[index[mono]] = c
+    return KElement(n, *coeffs[:3], coeffs[3:])
 
 
 def multiply_nf(a: KElement, b: KElement) -> KElement:
-    a._check(b)
-    return reduce(fp_mul(a.to_fp(), b.to_fp()), a.n)
+    """The product a * b, which contracts the table of reduced basis products."""
+    return a * b
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +376,8 @@ def multiply_nf(a: KElement, b: KElement) -> KElement:
 # ---------------------------------------------------------------------------
 
 class Embedding:
-    """Substitution v1 -> eta1 - 1, v2 -> eta2 - 1, phi -> d_1 - 2, with
-    cached powers so the verification grids stay cheap."""
+    """Substitution v1 -> eta1 - 1, v2 -> eta2 - 1, phi -> d_1 - 2 on formal
+    polynomials, reduced or not, with cached powers of the images."""
 
     def __init__(self, n: int):
         self.params = GroupParams(n)
@@ -416,11 +400,15 @@ class Embedding:
             acc = acc + coeff * term
         return acc
 
-    def of_kelement(self, elem: KElement) -> RepElement:
-        return self.of_formal(elem.to_fp())
-
     def of_phipoly(self, p: PhiPoly) -> RepElement:
         return self.of_formal(fp_from_phipoly(p))
+
+    @cached_property
+    def basis_columns(self) -> tuple:
+        """Columns of the basis-change matrix, whose rows are the images of
+        1, v1, v2, phi, ..., phi^k."""
+        rows = (self.of_formal({mono: 1}).coeffs for mono in _basis_monos(self.params.k))
+        return tuple(zip(*rows))
 
 
 @lru_cache(maxsize=None)
@@ -429,8 +417,10 @@ def _embedding(n: int) -> Embedding:
 
 
 def embed_to_R(elem: KElement) -> RepElement:
-    """Image of a normal-form element in the representation ring."""
-    return _embedding(elem.n).of_kelement(elem)
+    """Image of a normal-form element: its coefficients times the basis-change matrix."""
+    emb = _embedding(elem.n)
+    return RepElement(emb.params, (sum(map(mul, elem.coeffs, column))
+                                   for column in emb.basis_columns))
 
 
 def basis_change_matrix(n: int):
@@ -439,7 +429,7 @@ def basis_change_matrix(n: int):
     Returns (matrix, unimodular flag); |det| = 1 proves that the presented
     ring is additively isomorphic to R(Q_{4k}).
     """
-    rows = [list(embed_to_R(b).coeffs) for b in nf_basis(n)]
+    rows = [list(row) for row in zip(*_embedding(n).basis_columns)]
     return rows, abs(determinant(rows)) == 1
 
 
@@ -484,22 +474,19 @@ def verify_relation3_redundant(n: int) -> bool:
     return red == gfp or red == fp_neg(gfp)
 
 
-def _generator_monos(k: int):
-    return [(1, 0, 0), (0, 1, 0)] + [(0, 0, j) for j in range(1, k + 1)]
-
-
 def verify_minimality_witness(n: int) -> bool:
     """Dropping any single presentation relation must leave some basis-pair
     product stuck outside the normal-form basis; the full set must close."""
     rset = relations_for(n)
     k = rset.k
-    monos = _generator_monos(k)
+    monos = _basis_monos(k)[1:]
+    basis = set(_basis_monos(k))
     pairs = [tuple(x + y for x, y in zip(m1, m2)) for m1 in monos for m2 in monos]
 
     def closes(labels) -> bool:
         for mono in pairs:
             red = rewrite({mono: 1}, rset, labels)
-            if any(not _is_basis_mono(m, k) for m in red):
+            if any(m not in basis for m in red):
                 return False
         return True
 

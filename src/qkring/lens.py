@@ -11,68 +11,26 @@ psi^i(w) = eta^i + eta^(-i) - 2 holds for every i >= 1, not only odd i.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from functools import lru_cache
 
 from .adams import psi_series
-from .intmath import format_terms
+from .freemodule import Element, Ring
 from .kring import relations_for
 from .report import Check, Report
-from .repring import GroupParams, RepElement
-
-ETA1, ETA2, ETA3 = 1, 2, 3
+from .repring import ETA1, ETA2, ETA3, GroupParams, RepElement, basis_elements, multiply
 
 
-@dataclass(frozen=True)
-class LensElement:
+class LensElement(Element):
     """Element of Z[eta]/(eta^(2k) - 1), stored as 2k coefficients."""
 
-    k: int
-    coeffs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if len(self.coeffs) != 2 * self.k:
-            raise ValueError(f"expected {2 * self.k} coefficients, got {len(self.coeffs)}")
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+    def __init__(self, k: int, coeffs):
+        super().__init__(_ring(k), coeffs)
 
-    def _check(self, other: "LensElement"):
-        if self.k != other.k:
-            raise ValueError(f"mismatched parameters: k={self.k} vs k={other.k}")
-
-    def __add__(self, other: "LensElement") -> "LensElement":
-        self._check(other)
-        return LensElement(self.k, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "LensElement") -> "LensElement":
-        self._check(other)
-        return LensElement(self.k, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "LensElement":
-        return LensElement(self.k, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return LensElement(self.k, tuple(a * other for a in self.coeffs))
-        if isinstance(other, LensElement):
-            return lens_multiply(self, other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, e: int) -> "LensElement":
-        if e < 0:
-            raise ValueError("negative powers are not defined here")
-        acc = lens_one(self.k)
-        for _ in range(e):
-            acc = acc * self
-        return acc
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+    @property
+    def k(self) -> int:
+        return self.ring.param
 
     def to_json_dict(self) -> dict:
         return {"k": self.k, "coeffs": [str(c) for c in self.coeffs]}
@@ -81,10 +39,16 @@ class LensElement:
     def from_json_dict(cls, data: dict) -> "LensElement":
         return cls(int(data["k"]), tuple(int(c) for c in data["coeffs"]))
 
-    def __str__(self) -> str:
-        return format_terms(
-            (c, "eta" if e == 1 else f"eta^{e}" if e else "")
-            for e, c in enumerate(self.coeffs))
+
+@lru_cache(maxsize=None)
+def _ring(k: int) -> Ring:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    m = 2 * k
+    labels = ["1", "eta"] + [f"eta^{e}" for e in range(2, m)]
+    # eta^i * eta^j = eta^((i + j) mod 2k): eta^(2k) = 1 is the one and only relation
+    return Ring(f"Z[eta]/(eta^{m} - 1)", k, labels,
+                lambda: [[(((i + j) % m, 1),) for j in range(m)] for i in range(m)])
 
 
 def lens_zero(k: int) -> LensElement:
@@ -107,17 +71,8 @@ def w_element(k: int) -> LensElement:
 
 
 def lens_multiply(a: LensElement, b: LensElement) -> LensElement:
-    """Cyclic convolution: eta^(2k) = 1 is the one and only relation."""
-    a._check(b)
-    mod = 2 * a.k
-    out = [0] * mod
-    for i, x in enumerate(a.coeffs):
-        if x == 0:
-            continue
-        for j, y in enumerate(b.coeffs):
-            if y:
-                out[(i + j) % mod] += x * y
-    return LensElement(a.k, tuple(out))
+    """The product a * b, which contracts the table of eta^i * eta^j."""
+    return a * b
 
 
 def restrict(r: RepElement) -> LensElement:
@@ -150,8 +105,6 @@ def _evaluate_formal(fp: dict, k: int) -> LensElement:
 def verify_restriction_hom(n: int, trials: int = 25, seed: int = 0) -> bool:
     """restrict(a*b) = restrict(a)*restrict(b) on all basis pairs plus
     randomized virtual elements."""
-    from .repring import basis_elements, multiply
-
     params = GroupParams(n)
     basis = basis_elements(params)
     for a in basis:

@@ -19,9 +19,10 @@ orthogonality) certifies the relation-driven product: see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .intmath import CyclotomicInt, format_terms
+from .freemodule import Element, Ring, commutative_table
+from .intmath import CyclotomicInt
 from .report import Check, Report
 
 # basis layout: index 0..3 = 1, eta1, eta2, eta3; index 3+i = d_i
@@ -59,56 +60,17 @@ def basis_labels(params: GroupParams):
     return ["1", "eta1", "eta2", "eta3"] + [f"d_{i}" for i in range(1, params.k)]
 
 
-@dataclass(frozen=True)
-class RepElement:
+class RepElement(Element):
     """Virtual representation: integer coefficients over the irreducible basis."""
 
-    params: GroupParams
-    coeffs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.params.basis_size:
-            raise ValueError(
-                f"expected {self.params.basis_size} coefficients, got {len(self.coeffs)}")
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+    def __init__(self, params: GroupParams, coeffs):
+        super().__init__(_ring(params.n), coeffs)
 
-    def _check(self, other: "RepElement"):
-        if self.params != other.params:
-            raise ValueError("mismatched group parameters")
-
-    def __add__(self, other: "RepElement") -> "RepElement":
-        self._check(other)
-        return RepElement(self.params, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "RepElement") -> "RepElement":
-        self._check(other)
-        return RepElement(self.params, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "RepElement":
-        return RepElement(self.params, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return RepElement(self.params, tuple(a * other for a in self.coeffs))
-        if isinstance(other, RepElement):
-            return multiply(self, other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, e: int) -> "RepElement":
-        if e < 0:
-            raise ValueError("negative powers are not defined in R(G)")
-        acc = one(self.params)
-        for _ in range(e):
-            acc = acc * self
-        return acc
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+    @property
+    def params(self) -> GroupParams:
+        return self.ring.param
 
     def dimension(self) -> int:
         """Value of the character at the identity (virtual dimension)."""
@@ -137,11 +99,6 @@ class RepElement:
                 raise ValueError(f"d_{i} is not a basis element for k={params.k}")
             coeffs[3 + i] = int(val)
         return cls(params, tuple(coeffs))
-
-    def __str__(self) -> str:
-        return format_terms(
-            (c, "" if i == 0 else basis_labels(self.params)[i])
-            for i, c in enumerate(self.coeffs))
 
 
 def _dims(params: GroupParams):
@@ -184,22 +141,23 @@ def _fold(params: GroupParams, i: int) -> int:
     return params.m - r if r > params.k else r
 
 
-def _add_d(params: GroupParams, i: int, c: int, out: list):
+def _add_d(params: GroupParams, i: int, out: list):
+    """Add d_i, folded and expanded over the basis, to the coefficients ``out``."""
     r = _fold(params, i)
     if r == 0:
-        out[ONE] += c
-        out[ETA1] += c
+        out[ONE] += 1
+        out[ETA1] += 1
     elif r == params.k:
-        out[ETA2] += c
-        out[ETA3] += c
+        out[ETA2] += 1
+        out[ETA3] += 1
     else:
-        out[3 + r] += c
+        out[3 + r] += 1
 
 
 def canonical_d(params: GroupParams, i: int) -> RepElement:
     """d_i expanded over the basis, for any integer i."""
     out = [0] * params.basis_size
-    _add_d(params, i, 1, out)
+    _add_d(params, i, out)
     return RepElement(params, tuple(out))
 
 
@@ -208,36 +166,33 @@ def phi_element(params: GroupParams) -> RepElement:
     return canonical_d(params, 1) - 2 * one(params)
 
 
-def multiply(a: RepElement, b: RepElement) -> RepElement:
-    """Bilinear extension of the basis products."""
-    a._check(b)
-    params = a.params
-    k = params.k
+def _basis_product(params: GroupParams, i: int, j: int) -> list:
+    """Coefficients of b_i * b_j for i <= j, from the rules in the module docstring."""
     out = [0] * params.basis_size
-    for i, ca in enumerate(a.coeffs):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b.coeffs):
-            if cb == 0:
-                continue
-            c = ca * cb
-            lo, hi = (i, j) if i <= j else (j, i)
-            if hi <= 3:
-                # one-dimensionals form Z2 x Z2; xor of indices is the product
-                out[lo ^ hi] += c
-            elif lo == ONE:
-                out[hi] += c
-            elif lo <= 3:
-                di = hi - 3
-                if lo == ETA1:
-                    out[hi] += c
-                else:
-                    _add_d(params, k - di, c, out)
-            else:
-                di, dj = lo - 3, hi - 3
-                _add_d(params, di + dj, c, out)
-                _add_d(params, di - dj, c, out)
-    return RepElement(params, tuple(out))
+    if j <= 3:
+        # one-dimensionals form Z2 x Z2; xor of indices is the product
+        out[i ^ j] += 1
+    elif i in (ONE, ETA1):
+        out[j] += 1
+    elif i <= 3:
+        _add_d(params, params.k - (j - 3), out)
+    else:
+        di, dj = i - 3, j - 3
+        _add_d(params, di + dj, out)
+        _add_d(params, di - dj, out)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _ring(n: int) -> Ring:
+    params = GroupParams(n)
+    table = partial(commutative_table, params.basis_size, partial(_basis_product, params))
+    return Ring(f"R(Q_{params.group_order})", params, basis_labels(params), table)
+
+
+def multiply(a: RepElement, b: RepElement) -> RepElement:
+    """The product a * b, which contracts the table of ``_basis_product``."""
+    return a * b
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +242,6 @@ class ClassFunction:
 
 def class_sizes(params: GroupParams):
     return [1, 1] + [2] * (params.k - 1) + [params.k, params.k]
-
-
-def class_labels(params: GroupParams):
-    return ["e", f"x^{params.k}"] + [f"x^{r}" for r in range(1, params.k)] + ["y", "xy"]
 
 
 @lru_cache(maxsize=None)

@@ -98,13 +98,14 @@ class TableCell:
         return {
             "n": self.n,
             "N": self.N,
-            "order": _pow2_str(self.order),
-            "expected": _pow2_str(self.expected),
+            "order": pow2_str(self.order),
+            "expected": pow2_str(self.expected),
             "match": self.match,
         }
 
 
-def _pow2_str(x) -> str:
+def pow2_str(x) -> str:
+    """An order as text: "2^e" for a power of two, "infinite" for None."""
     if x is None:
         return "infinite"
     if x > 0 and x & (x - 1) == 0:

@@ -1,7 +1,11 @@
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkring import kring
 from qkring.adams import g_poly
 from qkring.kring import (KElement, apply_rule_once, basis_change_matrix,
                           embed_to_R, fp_from_phipoly, fp_mul, fp_neg,
@@ -200,3 +204,22 @@ def test_str_and_labels():
     assert mono_name((1, 2, 3)) == "v1*v2^2*phi^3"
     assert mono_name((0, 0, 0)) == "1"
     assert nf_basis_labels(3) == ["1", "v1", "v2", "phi", "phi^2"]
+
+
+def test_import_builds_no_ring():
+    code = ("import qkring\nfrom qkring import kring, lens, repring\n"
+            "print([m._ring.cache_info().currsize for m in (kring, lens, repring)])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[0, 0, 0]"
+
+
+def test_k_table_built_on_first_product_only():
+    kring._ring.cache_clear()
+    ring = kring._ring(5)
+    basis_change_matrix(5)
+    verify_relations_in_R(5)
+    verify_local_confluence(5)
+    assert "table" not in vars(ring)
+    assert k_v1(5) * k_v2(5) == reduce({(1, 1, 0): 1}, 5)
+    assert "table" in vars(ring)

@@ -2,8 +2,8 @@ import pytest
 
 from qkring.intmatrix import determinant, smith_normal_form
 from qkring.repring import GroupParams, basis_elements, one, phi_element, zero
-from qkring.truncation import (TableCell, _pow2_str, corollary2_table,
-                               order_of, phi_order, torsion_order,
+from qkring.truncation import (TableCell, corollary2_table, order_of,
+                               phi_order, pow2_str, torsion_order,
                                truncated_quotient)
 
 
@@ -114,8 +114,8 @@ def test_table_cell_json():
     cell = TableCell(3, 1, 32, 32)
     assert cell.to_json() == {"n": 3, "N": 1, "order": "2^5",
                               "expected": "2^5", "match": True}
-    assert _pow2_str(None) == "infinite"
-    assert _pow2_str(12) == "12"
+    assert pow2_str(None) == "infinite"
+    assert pow2_str(12) == "12"
 
 
 def test_rejects_bad_arguments():

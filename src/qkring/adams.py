@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intmath import IntPoly, binomial, chebyshev_t, format_terms, _trim
+from .freemodule import format_terms
+from .intmath import IntPoly, binomial, chebyshev_t, _trim
 
 
 @dataclass(frozen=True)

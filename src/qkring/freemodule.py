@@ -1,9 +1,10 @@
 """Free Z-modules of finite rank with a bilinear product.
 
-R(Q_{4k}), the presented K-ring and the lens ring Z[eta]/(eta^(2k) - 1) are
-each a free Z-module multiplied by a table of structure constants.  Their
-element classes subclass ``Element``, which does the module operations and
-the product; a ``Ring`` builds its table on the first product that needs it.
+R(Q_{4k}), the presented K-ring, the lens ring Z[eta]/(eta^(2k) - 1) and the
+cyclotomic integers Z[zeta] are each a free Z-module multiplied by a table
+of structure constants.  Their element classes subclass ``Element``, which
+does the module operations and the product; a ``Ring`` builds its table on
+the first product that needs it.
 """
 
 from __future__ import annotations
@@ -11,7 +12,30 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .intmath import format_terms
+
+def format_terms(terms) -> str:
+    """Join (coefficient, symbol) pairs into '3*x^2 - y + 4' style text.
+
+    A pair with an empty symbol is a plain constant.  Zero coefficients are
+    skipped; an empty result renders as '0'.
+    """
+    out = []
+    for coeff, sym in terms:
+        if coeff == 0:
+            continue
+        sign = "-" if coeff < 0 else "+"
+        mag = abs(coeff)
+        if not sym:
+            body = str(mag)
+        elif mag == 1:
+            body = sym
+        else:
+            body = f"{mag}*{sym}"
+        if not out:
+            out.append(body if coeff > 0 else f"-{body}")
+        else:
+            out.append(f" {sign} {body}")
+    return "".join(out) if out else "0"
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,11 @@ class Check:
     passed: bool
     detail: str = ""
 
+    @property
+    def witness(self) -> str:
+        """The detail of a failed check; a passed check shows none."""
+        return "" if self.passed else self.detail
+
 
 @dataclass(frozen=True)
 class Report:
@@ -28,14 +33,16 @@ class Report:
         out = []
         for c in self.checks:
             mark = "PASS" if c.passed else "FAIL"
-            extra = f"  ({c.detail})" if c.detail and not c.passed else ""
+            extra = f"  ({c.witness})" if c.witness else ""
             out.append(f"{mark} {c.name}{extra}")
         return out
 
     def to_json(self) -> dict:
         return {
             "title": self.title,
-            "checks": [{"name": c.name, "passed": c.passed} for c in self.checks],
+            "checks": [{"name": c.name, "passed": c.passed,
+                        **({"detail": c.witness} if c.witness else {})}
+                       for c in self.checks],
             "all_passed": self.all_passed,
         }
 

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qkring.intmath import (CyclotomicInt, IntPoly, binomial, chebyshev_t,
-                            format_terms, two_adic_valuation)
+from qkring.freemodule import format_terms
+from qkring.intmath import CyclotomicInt, IntPoly, binomial, chebyshev_t, two_adic_valuation
 
 
 def test_binomial_values():

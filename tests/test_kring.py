@@ -207,11 +207,11 @@ def test_str_and_labels():
 
 
 def test_import_builds_no_ring():
-    code = ("import qkring\nfrom qkring import kring, lens, repring\n"
-            "print([m._ring.cache_info().currsize for m in (kring, lens, repring)])")
+    code = ("import qkring\nfrom qkring import intmath, kring, lens, repring\n"
+            "print([m._ring.cache_info().currsize for m in (intmath, kring, lens, repring)])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "[0, 0, 0]"
+    assert out.strip() == "[0, 0, 0, 0]"
 
 
 def test_k_table_built_on_first_product_only():

@@ -4,9 +4,11 @@ One coefficient, off by one, is planted in a test-only copy of a ring's
 table; the certifier of that ring must catch it.
 """
 
+import json
+
 import pytest
 
-from qkring import kring, lens, repring
+from qkring import cli, intmath, kring, lens, repring
 from qkring.repring import GroupParams
 
 
@@ -22,7 +24,8 @@ def plant(monkeypatch):
         monkeypatch.setitem(vars(ring), "table", table)
 
     yield _plant
-    for cache in (repring._ring, kring._ring, kring._embedding, lens._ring):
+    for cache in (repring._ring, kring._ring, kring._embedding, lens._ring,
+                  intmath._ring, repring._character_table):
         cache.cache_clear()
 
 
@@ -33,6 +36,17 @@ def test_rep_table_defect_fails_at_that_pair(plant, i, j):
     labels = repring.basis_labels(params)
     failures = repring.verify_structure_constants(params).failures()
     assert [c.name for c in failures] == [f"{labels[i]}*{labels[j]}"]
+
+
+def test_rep_table_defect_witness_in_json(plant, capsys):
+    plant(repring._ring(3), 4, 2)
+    assert cli.main(["verify", "--n", "3", "--suite", "oracle", "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    by_name = {c["name"]: c for c in checks}
+    assert by_name["d_1*eta2"] == {"name": "d_1*eta2", "passed": False,
+                                   "detail": "table gives 2*d_1"}
+    assert by_name["eta2*d_1"] == {"name": "eta2*d_1", "passed": True}
+    assert not any("detail" in c for c in checks if c["passed"])
 
 
 @pytest.mark.parametrize("i,j", [(1, 2), (3, 4)])
@@ -46,3 +60,25 @@ def test_k_table_defect_fails_at_that_pair(plant, i, j):
 def test_lens_table_defect_fails_restriction(plant):
     plant(lens._ring(2), 1, 1)
     assert not lens.verify_restriction_hom(3)
+
+
+# (2, 2) is left out: no k = 4 character value has a zeta^2 term, so that
+# entry is never used.
+@pytest.mark.parametrize("i,j", [(0, 0), (1, 1), (1, 3), (3, 3)])
+def test_cyclotomic_table_defect_fails_orthogonality(plant, capsys, i, j):
+    plant(intmath._ring(4), i, j)
+    failures = repring.verify_orthogonality(GroupParams(4)).failures()
+    assert failures and all(c.witness for c in failures)
+    assert cli.main(["verify", "--n", "4", "--suite", "oracle", "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert all(c.get("detail") for c in checks if not c["passed"])
+
+
+def test_cyclotomic_defect_witness_names_the_value(plant):
+    plant(intmath._ring(4), 1, 3)
+    failures = repring.verify_orthogonality(GroupParams(4)).failures()
+    assert [(c.name, c.witness.split(";")[0]) for c in failures] == [
+        ("<d_1,d_1>", "inner product 12/16 is not an integer"),
+        ("<d_1,d_3>", "inner product 4/16 is not an integer"),
+        ("<d_3,d_1>", "inner product 4/16 is not an integer"),
+        ("<d_3,d_3>", "inner product 12/16 is not an integer")]

@@ -18,75 +18,35 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .freemodule import format_terms
-from .intmath import IntPoly, binomial, chebyshev_t, _trim
+from .intmath import IntPoly, binomial, chebyshev_t
 
 
 @dataclass(frozen=True)
-class PhiPoly:
-    """Integer polynomial with zero constant term; coeffs[j-1] goes with phi^j."""
+class PhiPoly(IntPoly):
+    """Integer polynomial in phi with zero constant term; coeffs[j] goes with
+    phi^j, so coeffs[0] is always 0 (or coeffs is empty).
 
-    coeffs: tuple = ()
+    All arithmetic, ``coeff``, ``degree``, ``compose`` and evaluation are
+    IntPoly's; they return PhiPoly, and this class only checks the constant.
+    """
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trim(self.coeffs))
+        super().__post_init__()
+        if self.coeff(0):
+            raise ArithmeticError(f"nonzero constant term {self.coeff(0)}")
 
     @classmethod
     def of(cls, *coeffs: int) -> "PhiPoly":
-        return cls(coeffs)
+        """Coefficients of phi, phi^2, ...: PhiPoly.of(4, 1) is 4*phi + phi^2."""
+        return cls((0,) + coeffs)
 
     @classmethod
     def from_intpoly(cls, p: IntPoly) -> "PhiPoly":
-        if p.coeff(0) != 0:
-            raise ArithmeticError(f"nonzero constant term {p.coeff(0)}")
-        return cls(p.coeffs[1:])
-
-    def to_intpoly(self) -> IntPoly:
-        return IntPoly((0,) + self.coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs)
-
-    def coeff(self, j: int) -> int:
-        """Coefficient of phi^j (j >= 1)."""
-        return self.coeffs[j - 1] if 1 <= j <= len(self.coeffs) else 0
-
-    def __add__(self, other: "PhiPoly") -> "PhiPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PhiPoly(tuple(self.coeff(j) + other.coeff(j) for j in range(1, n + 1)))
-
-    def __sub__(self, other: "PhiPoly") -> "PhiPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PhiPoly(tuple(self.coeff(j) - other.coeff(j) for j in range(1, n + 1)))
-
-    def __neg__(self) -> "PhiPoly":
-        return PhiPoly(tuple(-c for c in self.coeffs))
-
-    def __rmul__(self, scalar: int) -> "PhiPoly":
-        return PhiPoly(tuple(scalar * c for c in self.coeffs))
-
-    def compose(self, other: "PhiPoly") -> "PhiPoly":
-        """self(other(phi)); zero constant terms are preserved."""
-        return PhiPoly.from_intpoly(self.to_intpoly().compose(other.to_intpoly()))
-
-    def evaluate(self, x):
-        """Evaluate at a ring element.
-
-        Only +, * and integer scaling of the target ring are used; with no
-        constant term there is never a need for the ring's unit.
-        """
-        acc = 0 * x
-        power = None
-        for j, c in enumerate(self.coeffs, start=1):
-            power = x if j == 1 else power * x
-            if c:
-                acc = acc + c * power
-        return acc
+        return cls(p.coeffs)
 
     def to_pairs(self):
         """[[exponent, coefficient-as-decimal-string], ...], ascending."""
-        return [[j, str(c)] for j, c in enumerate(self.coeffs, start=1) if c]
+        return [[j, str(c)] for j, c in enumerate(self.coeffs) if c]
 
     @classmethod
     def from_pairs(cls, pairs) -> "PhiPoly":
@@ -97,15 +57,10 @@ class PhiPoly:
                 raise ValueError("phi-polynomials have no constant term")
             coeffs[exp] = int(text)
         top = max(coeffs, default=0)
-        return cls(tuple(coeffs.get(j, 0) for j in range(1, top + 1)))
+        return cls(tuple(coeffs.get(j, 0) for j in range(top + 1)))
 
     def format(self, var: str = "phi") -> str:
-        terms = [(c, var if j == 1 else f"{var}^{j}")
-                 for j, c in enumerate(self.coeffs, start=1)]
-        return format_terms(reversed(terms))
-
-    def __str__(self) -> str:
-        return self.format()
+        return super().format(var)
 
 
 def psi_series(i: int) -> PhiPoly:
@@ -118,17 +73,15 @@ def psi_series(i: int) -> PhiPoly:
         if q.denominator != 1:
             raise ArithmeticError(f"psi^{i}: coefficient of w^{j} is {q}, not an integer")
         coeffs.append(int(q))
-    return PhiPoly(tuple(coeffs))
+    return PhiPoly.of(*coeffs)
 
 
 def psi_oracle(i: int) -> PhiPoly:
     """psi^i built independently as t_i(w + 2) - 2."""
     if i < 1:
         raise ValueError("psi^i requires i >= 1")
-    shifted = chebyshev_t(i).compose(IntPoly.of(2, 1))
-    if shifted.coeff(0) != 2:
-        raise ArithmeticError(f"t_{i}(w+2) has constant term {shifted.coeff(0)}, expected 2")
-    return PhiPoly(shifted.coeffs[1:])
+    # from_intpoly raises ArithmeticError unless t_i(w+2) has constant term 2
+    return PhiPoly.from_intpoly(chebyshev_t(i).compose(IntPoly.of(2, 1)) - IntPoly.of(2))
 
 
 def g_poly(k: int) -> PhiPoly:
@@ -150,7 +103,7 @@ def g_poly(k: int) -> PhiPoly:
             raise ArithmeticError(f"g_{2*k}: coefficient of phi^{j} is {q}, not an integer")
         coeffs[j - 1] = int(q)
     coeffs[k] = 1
-    return PhiPoly(tuple(coeffs))
+    return PhiPoly.of(*coeffs)
 
 
 def verify_g_identity(k: int) -> bool:

@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .repring import GroupParams, phi_element
-from .truncation import (TruncatedQuotient, order_of, pow2_str, torsion_order,
-                         truncated_quotient)
+from .truncation import order_of, pow2_str, torsion_order, truncated_quotient
 
 
 @dataclass(frozen=True)
@@ -124,11 +123,10 @@ class ConsistencyReport:
         }
 
 
-def consistency_report(n: int, N: int,
-                       quotient: TruncatedQuotient | None = None) -> ConsistencyReport:
+def consistency_report(n: int, N: int) -> ConsistencyReport:
     """Compare truncated-ring sizes against the cohomology bookkeeping."""
     params = GroupParams(n)
-    q = quotient if quotient is not None else truncated_quotient(n, N)
+    q = truncated_quotient(n, N)
     return ConsistencyReport(
         n=n,
         N=N,

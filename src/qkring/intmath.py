@@ -59,31 +59,33 @@ class IntPoly:
     def coeff(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
+    # Arithmetic builds type(self), so a subclass with an invariant (adams'
+    # PhiPoly, zero constant term) keeps both its class and its check.
     def __add__(self, other: "IntPoly") -> "IntPoly":
         n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly(tuple(self.coeff(i) + other.coeff(i) for i in range(n)))
+        return type(self)(tuple(self.coeff(i) + other.coeff(i) for i in range(n)))
 
     def __sub__(self, other: "IntPoly") -> "IntPoly":
         n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly(tuple(self.coeff(i) - other.coeff(i) for i in range(n)))
+        return type(self)(tuple(self.coeff(i) - other.coeff(i) for i in range(n)))
 
     def __neg__(self) -> "IntPoly":
-        return IntPoly(tuple(-c for c in self.coeffs))
+        return type(self)(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntPoly(tuple(c * other for c in self.coeffs))
+            return type(self)(tuple(c * other for c in self.coeffs))
         if not isinstance(other, IntPoly):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
-            return IntPoly()
+            return type(self)()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return IntPoly(tuple(out))
+        return type(self)(tuple(out))
 
     __rmul__ = __mul__
 
@@ -92,19 +94,30 @@ class IntPoly:
         acc = IntPoly()
         for c in reversed(self.coeffs):
             acc = acc * other + IntPoly.of(c)
-        return acc
+        return type(self)(acc.coeffs)
 
     def __call__(self, x):
-        """Evaluate at x (any value supporting + and *, e.g. int, Fraction)."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Evaluate at x by Horner's scheme: acc = acc*x + c*x over the
+        coefficients of x^d, ..., x^1, then the constant term is added.
 
-    def __str__(self) -> str:
-        terms = [(c, "c" if i == 1 else f"c^{i}" if i else "")
+        With a zero constant term only +, * and integer scaling are used, so
+        x may be an element of a ring whose unit is not at hand (a ring
+        element, a PhiPoly); int and Fraction work for any polynomial.
+        """
+        acc = 0 * x
+        for c in reversed(self.coeffs[1:]):
+            acc = acc * x + c * x if c else acc * x
+        return acc + self.coeffs[0] if self.coeff(0) else acc
+
+    evaluate = __call__
+
+    def format(self, var: str = "c") -> str:
+        terms = [(c, var if i == 1 else f"{var}^{i}" if i else "")
                  for i, c in enumerate(self.coeffs)]
         return format_terms(reversed(terms))
+
+    def __str__(self) -> str:
+        return self.format()
 
 
 def chebyshev_t(i: int) -> IntPoly:

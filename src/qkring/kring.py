@@ -31,7 +31,8 @@ embedding on all basis pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
+from math import prod
 from operator import mul
 
 from .adams import PhiPoly, g_poly, psi_series
@@ -39,7 +40,6 @@ from .freemodule import Element, Ring, commutative_table, format_terms
 from .intmatrix import determinant
 from .report import Check, Report
 from .repring import GroupParams, RepElement, canonical_d, eta1, eta2, one, phi_element
-from . import repring
 
 Mono = tuple  # (a, b, c) exponents of v1, v2, phi
 
@@ -84,7 +84,7 @@ def fp_mul(f: dict, g: dict) -> dict:
 
 
 def fp_from_phipoly(p: PhiPoly) -> dict:
-    return {(0, 0, j): c for j, c in enumerate(p.coeffs, start=1) if c}
+    return {(0, 0, j): c for j, c in enumerate(p.coeffs) if c}
 
 
 def mono_name(mono: Mono) -> str:
@@ -371,55 +371,58 @@ def multiply_nf(a: KElement, b: KElement) -> KElement:
 
 
 # ---------------------------------------------------------------------------
-# embedding into R(Q_{4k})
+# substitution of images; the embedding into R(Q_{4k})
 # ---------------------------------------------------------------------------
 
-class Embedding:
-    """Substitution v1 -> eta1 - 1, v2 -> eta2 - 1, phi -> d_1 - 2 on formal
-    polynomials, reduced or not, with cached powers of the images."""
+class Substitution:
+    """Evaluation of formal polynomials, reduced or not, at images of v1, v2
+    and phi in some ring, with the powers of each image cached.  ``unit`` is
+    that ring's 1, the zeroth power of every image."""
 
-    def __init__(self, n: int):
-        self.params = GroupParams(n)
-        self._pows = {
-            "v1": [one(self.params), eta1(self.params) - one(self.params)],
-            "v2": [one(self.params), eta2(self.params) - one(self.params)],
-            "phi": [one(self.params), phi_element(self.params)],
-        }
+    def __init__(self, unit, v1, v2, phi):
+        self._pows = tuple([unit, image] for image in (v1, v2, phi))
 
-    def _power(self, key: str, e: int) -> RepElement:
-        cache = self._pows[key]
+    def _power(self, var: int, e: int):
+        cache = self._pows[var]
         while len(cache) <= e:
             cache.append(cache[-1] * cache[1])
         return cache[e]
 
-    def of_formal(self, fp: dict) -> RepElement:
-        acc = repring.zero(self.params)
-        for (a, b, c), coeff in fp.items():
-            term = self._power("v1", a) * self._power("v2", b) * self._power("phi", c)
-            acc = acc + coeff * term
+    def of_formal(self, fp: dict):
+        unit = self._pows[0][0]
+        acc = 0 * unit
+        for mono, coeff in fp.items():
+            # a product with the unit costs as much as any other, so zeroth
+            # powers are left out of the term
+            factors = [self._power(var, e) for var, e in enumerate(mono) if e] or [unit]
+            acc = acc + coeff * prod(factors[1:], start=factors[0])
         return acc
 
-    def of_phipoly(self, p: PhiPoly) -> RepElement:
+    def of_phipoly(self, p: PhiPoly):
         return self.of_formal(fp_from_phipoly(p))
-
-    @cached_property
-    def basis_columns(self) -> tuple:
-        """Columns of the basis-change matrix, whose rows are the images of
-        1, v1, v2, phi, ..., phi^k."""
-        rows = (self.of_formal({mono: 1}).coeffs for mono in _basis_monos(self.params.k))
-        return tuple(zip(*rows))
 
 
 @lru_cache(maxsize=None)
-def _embedding(n: int) -> Embedding:
-    return Embedding(n)
+def _embedding(n: int) -> Substitution:
+    """v1 -> eta1 - 1, v2 -> eta2 - 1, phi -> d_1 - 2 in R(Q_{4k})."""
+    params = GroupParams(n)
+    unit = one(params)
+    return Substitution(unit, eta1(params) - unit, eta2(params) - unit, phi_element(params))
+
+
+@lru_cache(maxsize=None)
+def _basis_columns(n: int) -> tuple:
+    """Columns of the basis-change matrix, whose rows are the images of
+    1, v1, v2, phi, ..., phi^k."""
+    emb = _embedding(n)
+    rows = (emb.of_formal({mono: 1}).coeffs for mono in _basis_monos(GroupParams(n).k))
+    return tuple(zip(*rows))
 
 
 def embed_to_R(elem: KElement) -> RepElement:
     """Image of a normal-form element: its coefficients times the basis-change matrix."""
-    emb = _embedding(elem.n)
-    return RepElement(emb.params, (sum(map(mul, elem.coeffs, column))
-                                   for column in emb.basis_columns))
+    return RepElement(GroupParams(elem.n), (sum(map(mul, elem.coeffs, column))
+                                            for column in _basis_columns(elem.n)))
 
 
 def basis_change_matrix(n: int):
@@ -428,7 +431,7 @@ def basis_change_matrix(n: int):
     Returns (matrix, unimodular flag); |det| = 1 proves that the presented
     ring is additively isomorphic to R(Q_{4k}).
     """
-    rows = [list(row) for row in zip(*_embedding(n).basis_columns)]
+    rows = [list(row) for row in zip(*_basis_columns(n))]
     return rows, abs(determinant(rows)) == 1
 
 
@@ -446,19 +449,17 @@ def verify_relations_in_R(n: int) -> Report:
     params = GroupParams(n)
     emb = _embedding(n)
     rset = relations_for(n)
-    checks = []
-    for rel in rset.relations + (rset.relation3,):
-        image = emb.of_formal(rel.difference())
-        checks.append(Check(rel.label, image.is_zero()))
+    checks = [Check.vanishes(rel.label, emb.of_formal(rel.difference()))
+              for rel in rset.relations + (rset.relation3,)]
     two = 2 * one(params)
     for i in range(1, params.k, 2):
         image = (canonical_d(params, i) - two) - emb.of_phipoly(psi_series(i))
-        checks.append(Check(f"d_{i} - 2 = psi^{i}(phi)", image.is_zero()))
+        checks.append(Check.vanishes(f"d_{i} - 2 = psi^{i}(phi)", image))
     if n >= 4:
         d0 = canonical_d(params, 0)
         dk = canonical_d(params, params.k)
         image = (dk - d0) - emb.of_phipoly(psi_series(params.k))
-        checks.append(Check(f"d_{params.k} - d_0 = psi^{params.k}(phi)", image.is_zero()))
+        checks.append(Check.vanishes(f"d_{params.k} - d_0 = psi^{params.k}(phi)", image))
     return Report(f"relations in R(Q_{params.group_order}), n={n}", tuple(checks))
 
 
@@ -518,6 +519,14 @@ def verify_local_confluence(n: int) -> Report:
     return Report(f"local confluence, n={n}", tuple(checks))
 
 
+def _embedding_witness(prod: KElement, lhs: RepElement, rhs: RepElement) -> str:
+    """The K product and the first R basis label where its image differs
+    from the R product of the images."""
+    label, x, y = next((label, x, y) for label, x, y
+                       in zip(lhs.ring.labels, lhs.coeffs, rhs.coeffs) if x != y)
+    return f"K gives {prod}; coefficient of {label}: {x} embedded, {y} in R"
+
+
 def verify_embedding(n: int) -> Report:
     """Unimodular basis change plus the commuting square
     embed(a *_nf b) = embed(a) * embed(b) over all normal-form basis pairs."""
@@ -532,7 +541,10 @@ def verify_embedding(n: int) -> Report:
                 for i in range(len(basis)) for j in range(i, len(basis))}
     for i, a in enumerate(basis):
         for j, b in enumerate(basis):
-            lhs = embed_to_R(multiply_nf(a, b))
+            prod = multiply_nf(a, b)
+            lhs = embed_to_R(prod)
             rhs = products[min(i, j), max(i, j)]
-            checks.append(Check(f"embed({labels[i]}*{labels[j]})", lhs == rhs))
+            ok = lhs == rhs
+            checks.append(Check(f"embed({labels[i]}*{labels[j]})", ok,
+                                "" if ok else _embedding_witness(prod, lhs, rhs)))
     return Report(f"presentation certificate, n={n}", tuple(checks))

@@ -11,6 +11,11 @@ class Check:
     passed: bool
     detail: str = ""
 
+    @classmethod
+    def vanishes(cls, name: str, residue) -> "Check":
+        """Passes when ``residue`` is zero; a failure shows the residue."""
+        return cls(name, residue.is_zero(), str(residue))
+
     @property
     def witness(self) -> str:
         """The detail of a failed check; a passed check shows none."""

@@ -121,3 +121,25 @@ def test_from_intpoly_rejects_constant():
     from qkring.intmath import IntPoly
     with pytest.raises(ArithmeticError):
         PhiPoly.from_intpoly(IntPoly.of(1, 2))
+
+
+def test_phipoly_is_an_intpoly():
+    from qkring.intmath import IntPoly
+    p = PhiPoly.of(4, 1)
+    assert isinstance(p, IntPoly) and p.coeffs == (0, 4, 1)
+    assert PhiPoly().degree == -1
+    with pytest.raises(ArithmeticError):
+        PhiPoly((1, 2))
+    for q in (p + p, p - p, -p, 3 * p, p * 2, p * p, p.compose(p)):
+        assert type(q) is PhiPoly
+    assert p * p == PhiPoly.of(0, 16, 8, 1)
+    assert p.compose(p) == PhiPoly.of(16, 20, 8, 1) == psi_series(4)
+    with pytest.raises(ArithmeticError):
+        p.compose(IntPoly.of(1, 1))  # 4*(x + 1) + (x + 1)^2 has constant term 5
+
+
+def test_evaluate_without_a_unit():
+    # with no constant term, evaluation needs no 1 of the target ring
+    phi = PhiPoly.of(1)
+    assert psi_series(5).evaluate(phi) == psi_series(5)
+    assert psi_series(3)(psi_series(2)) == psi_series(6)

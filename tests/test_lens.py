@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkring import kring, lens
 from qkring.adams import psi_series
-from qkring.kring import embed_to_R, k_v1, relations_for
+from qkring.kring import embed_to_R, fp_mul, k_v1, relations_for
 from qkring.lens import (LensElement, eta_power, lens_multiply, lens_one,
                          lens_zero, restrict, verify_relations_vanish,
                          verify_restriction_hom, w_element)
@@ -108,8 +109,9 @@ def test_relation6_sides_agree_in_lens():
     for n in (3, 4, 5, 6):
         k = GroupParams(n).k
         rel = relations_for(n).relation("relation6")
-        from qkring.lens import _evaluate_formal
-        assert _evaluate_formal(rel.lhs_fp(), k) == _evaluate_formal(rel.rhs_fp(), k)
+        from qkring.lens import _substitution
+        sub = _substitution(k)
+        assert sub.of_formal(rel.lhs_fp()) == sub.of_formal(rel.rhs_fp())
 
 
 def test_json_round_trip():
@@ -122,3 +124,35 @@ def test_json_round_trip():
 def test_str():
     assert str(w_element(2)) == "-2 + eta + eta^3"
     assert str(lens_zero(2)) == "0"
+
+
+def _formal_polys(k):
+    monos = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, k + 2))
+    return st.dictionaries(monos, st.integers(-9, 9).filter(bool), max_size=6)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_lens_substitution_is_restricted_embedding_on_relations(n):
+    k = GroupParams(n).k
+    rset = relations_for(n)
+    for rel in rset.relations + (rset.relation3,):
+        f = rel.difference()
+        assert lens._substitution(k).of_formal(f) == restrict(kring._embedding(n).of_formal(f))
+
+
+@settings(max_examples=25)
+@given(st.sampled_from([3, 4, 5]), st.data())
+def test_lens_substitution_is_restricted_embedding(n, data):
+    k = GroupParams(n).k
+    f = data.draw(_formal_polys(k))
+    assert lens._substitution(k).of_formal(f) == restrict(kring._embedding(n).of_formal(f))
+
+
+@settings(max_examples=25)
+@given(st.sampled_from([3, 4, 5]), st.data())
+def test_substitution_is_multiplicative(n, data):
+    k = GroupParams(n).k
+    f = data.draw(_formal_polys(k))
+    g = data.draw(_formal_polys(k))
+    for sub in (kring._embedding(n), lens._substitution(k)):
+        assert sub.of_formal(fp_mul(f, g)) == sub.of_formal(f) * sub.of_formal(g)

@@ -24,8 +24,9 @@ def plant(monkeypatch):
         monkeypatch.setitem(vars(ring), "table", table)
 
     yield _plant
-    for cache in (repring._ring, kring._ring, kring._embedding, lens._ring,
-                  intmath._ring, repring._character_table):
+    for cache in (repring._ring, kring._ring, kring._embedding, kring._basis_columns,
+                  lens._ring, lens._substitution, intmath._ring,
+                  repring._character_table):
         cache.cache_clear()
 
 
@@ -49,17 +50,57 @@ def test_rep_table_defect_witness_in_json(plant, capsys):
     assert not any("detail" in c for c in checks if c["passed"])
 
 
-@pytest.mark.parametrize("i,j", [(1, 2), (3, 4)])
-def test_k_table_defect_fails_at_that_pair(plant, i, j):
+@pytest.mark.parametrize("i,j,detail", [
+    (1, 2, "K gives phi^2 + 4*phi - v1 - 2*v2; coefficient of 1: 0 embedded, 1 in R"),
+    (3, 4, "K gives -6*phi^2 - 7*phi; coefficient of 1: -16 embedded, -14 in R")],
+    ids=["1-2", "3-4"])
+def test_k_table_defect_fails_at_that_pair(plant, capsys, i, j, detail):
     plant(kring._ring(3), i, j)
     labels = kring.nf_basis_labels(3)
+    name = f"embed({labels[i]}*{labels[j]})"
     failures = kring.verify_embedding(3).failures()
-    assert [c.name for c in failures] == [f"embed({labels[i]}*{labels[j]})"]
+    assert [c.name for c in failures] == [name]
+    assert cli.main(["verify", "--n", "3", "--suite", "oracle", "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c for c in checks if not c["passed"]] == [
+        {"name": name, "passed": False, "detail": detail}]
+    assert not any("detail" in c for c in checks if c["passed"])
+
+
+@pytest.mark.parametrize("i,j,residues", [
+    (1, 1, {"relation1": "1"}),
+    (4, 4, {"relation6": "-1", "relation3": "d_1"})])
+def test_rep_table_defect_leaves_relation_residue(plant, capsys, i, j, residues):
+    plant(repring._ring(3), i, j)
+    failures = kring.verify_relations_in_R(3).failures()
+    assert {c.name: c.witness for c in failures} == residues
+    assert cli.main(["verify", "--n", "3", "--suite", "relations", "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert {c["name"]: c["detail"] for c in checks if not c["passed"]} == residues
 
 
 def test_lens_table_defect_fails_restriction(plant):
     plant(lens._ring(2), 1, 1)
     assert not lens.verify_restriction_hom(3)
+
+
+# k = 2: entry (2, 2) is eta^2 * eta^2, used only by v2^2 = (eta^2 - 1)^2;
+# entry (1, 1) is eta * eta, used by every power of w from w^2 on.
+@pytest.mark.parametrize("i,j,residues", [
+    (2, 2, {"relation2": "1"}),
+    (1, 1, {"relation6": "-eta^2", "relation3": "eta + eta^3",
+            "g_4(w) = 0": "eta + eta^3",
+            "psi^2(w) = eta^2 + eta^-2 - 2": "eta^2",
+            "psi^3(w) = eta^3 + eta^-3 - 2": "eta + eta^3",
+            "psi^4(w) = eta^4 + eta^-4 - 2": "2 + 3*eta^2"})])
+def test_lens_table_defect_leaves_relation_residue(plant, capsys, i, j, residues):
+    plant(lens._ring(2), i, j)
+    failures = lens.verify_relations_vanish(3).failures()
+    assert {c.name: c.witness for c in failures} == residues
+    assert cli.main(["verify", "--n", "3", "--suite", "restriction", "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    # the homomorphism check may fail as well; it has no residue to show
+    assert {c["name"]: c["detail"] for c in checks if "detail" in c} == residues
 
 
 # (2, 2) is left out: no k = 4 character value has a zeta^2 term, so that

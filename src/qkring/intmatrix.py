@@ -1,10 +1,12 @@
-"""Exact integer matrices: Smith normal form with transforms, determinants.
+"""Exact integer matrices: Smith normal form with transforms, determinants,
+and Hermite bases modulo a multiple of the lattice index.
 
 All matrices are dense lists of lists of Python ints, at most (k+3) x (k+3)
 with k <= 256 from the CLI.  Smallest-pivot elimination does not bound the
-size of the transforms: on the n=6 truncation lattice, whose entries have
-11 to 23 bits, entries of U reach 679,148 bits at N=10.  ROADMAP open item 2
-plans modular arithmetic instead.
+size of the transforms by itself, so the truncation layer never factors a
+raw lattice: it factors the reduced Hermite basis from ``hermite_basis_mod``,
+whose above-diagonal entries lie below their column's pivot.  Over the whole
+CLI grid (n <= 10, N <= 16) the entries of D, U and V then stay under 64 bits.
 """
 
 from __future__ import annotations
@@ -59,6 +61,55 @@ def determinant(A) -> int:
     return sign * M[n - 1][n - 1]
 
 
+def _xgcd(a: int, b: int):
+    """(g, x, y) with g = gcd(a, b) = x*a + y*b, for a > 0 and b >= 0."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def hermite_basis_mod(rows, modulus: int):
+    """Row Hermite basis of span(rows) + modulus * Z^m, m = len(rows[0]).
+
+    The result is m x m and upper triangular with positive pivots, and each
+    above-diagonal entry lies in [0, pivot of its column).  Columns not yet
+    cleared are kept modulo ``modulus``, which is exact because every
+    modulus * e_j lies in the lattice (Domich, Kannan and Trotter, Math. Oper.
+    Res. 12 (1987); Cohen, GTM 138, 2.4).  When span(rows) has full rank and
+    its index divides ``modulus``, the result is a basis of span(rows).
+    """
+    if modulus <= 0:
+        raise ValueError("modulus must be positive")
+    m = len(rows[0])
+    work = [[x % modulus for x in row] for row in rows]
+    H = []
+    for j in range(m):
+        pivot = [0] * m
+        pivot[j] = modulus
+        for row in work:
+            b = row[j]
+            if not b:
+                continue
+            a = pivot[j]
+            # unimodular [[x, y], [-b/g, a/g]] takes (a, b) in column j to (g, 0)
+            g, x, y = _xgcd(a, b)
+            a, b = a // g, b // g
+            pivot[j:], row[j:] = (
+                [g] + [(x * p + y * r) % modulus for p, r in zip(pivot[j + 1:], row[j + 1:])],
+                [0] + [(a * r - b * p) % modulus for p, r in zip(pivot[j + 1:], row[j + 1:])])
+        H.append(pivot)
+    # bottom-up, so each row subtracts only rows that are already reduced
+    for i in range(m - 2, -1, -1):
+        for j in range(i + 1, m):
+            q = H[i][j] // H[j][j]
+            if q:
+                H[i][j:] = [a - q * b for a, b in zip(H[i][j:], H[j][j:])]
+    return H
+
+
 @dataclass
 class SmithForm:
     """U * M * V = D with U, V unimodular and D diagonal with d_1 | d_2 | ..."""
@@ -75,24 +126,34 @@ class SmithForm:
         return sum(1 for d in self.diagonal if d != 0)
 
     def verify(self, M) -> bool:
-        if mat_mul(mat_mul(self.U, M), self.V) != self.D:
-            return False
-        if abs(determinant(self.U)) != 1 or abs(determinant(self.V)) != 1:
-            return False
+        return self.failure(M) is None
+
+    def failure(self, M):
+        """The first condition of the certificate that fails for M, named
+        with its witness; None when U*M*V = D is a Smith normal form."""
+        UMV = mat_mul(mat_mul(self.U, M), self.V)
+        if UMV != self.D:
+            for i, (got, want) in enumerate(zip(UMV, self.D)):
+                for j, (g, w) in enumerate(zip(got, want)):
+                    if g != w:
+                        return f"(U*M*V)[{i}][{j}] = {g}, D[{i}][{j}] = {w}"
+            return "U*M*V and D have different shapes"
+        for name, T in (("U", self.U), ("V", self.V)):
+            det = determinant(T)
+            if abs(det) != 1:
+                return f"det {name} = {det}, not +-1"
         diag = self.diagonal
-        if any(d < 0 for d in diag):
-            return False
-        for a, b in zip(diag, diag[1:]):
-            if a == 0 and b != 0:
-                return False
-            if a != 0 and b % a != 0:
-                return False
-        # off-diagonal entries must vanish
+        for i, d in enumerate(diag):
+            if d < 0:
+                return f"negative diagonal entry D[{i}][{i}] = {d}"
+        for i, (a, b) in enumerate(zip(diag, diag[1:])):
+            if (a == 0 and b != 0) or (a != 0 and b % a != 0):
+                return f"D[{i}][{i}] = {a} does not divide D[{i + 1}][{i + 1}] = {b}"
         for i, row in enumerate(self.D):
             for j, v in enumerate(row):
                 if i != j and v != 0:
-                    return False
-        return True
+                    return f"nonzero off-diagonal entry D[{i}][{j}] = {v}"
+        return None
 
 
 def smith_normal_form(M) -> SmithForm:

@@ -97,23 +97,38 @@ def _substitution(k: int) -> Substitution:
     return Substitution(one, lens_zero(k), eta_power(k, k) - one, w_element(k))
 
 
-def verify_restriction_hom(n: int, trials: int = 25, seed: int = 0) -> bool:
+def restriction_hom_check(n: int, trials: int = 25, seed: int = 0) -> Check:
     """restrict(a*b) = restrict(a)*restrict(b) on all basis pairs plus
-    randomized virtual elements."""
+    randomized virtual elements; a failure names the first failing pair
+    and shows both sides."""
     params = GroupParams(n)
-    basis = basis_elements(params)
-    for a in basis:
-        for b in basis:
-            if restrict(multiply(a, b)) != restrict(a) * restrict(b):
-                return False
-    rng = random.Random(seed)
-    size = params.basis_size
-    for _ in range(trials):
-        a = RepElement(params, tuple(rng.randint(-9, 9) for _ in range(size)))
-        b = RepElement(params, tuple(rng.randint(-9, 9) for _ in range(size)))
-        if restrict(multiply(a, b)) != restrict(a) * restrict(b):
-            return False
-    return True
+
+    def pairs():  # (trial number or None for a basis pair, a, b)
+        basis = basis_elements(params)
+        for a in basis:
+            for b in basis:
+                yield None, a, b
+        rng = random.Random(seed)
+        size = params.basis_size
+        for t in range(trials):
+            a = RepElement(params, tuple(rng.randint(-9, 9) for _ in range(size)))
+            b = RepElement(params, tuple(rng.randint(-9, 9) for _ in range(size)))
+            yield t, a, b
+
+    for t, a, b in pairs():
+        image, product = restrict(multiply(a, b)), restrict(a) * restrict(b)
+        if image != product:
+            # a basis element prints as its label
+            name = f"{a}*{b}" if t is None else f"random trial {t} (a = {a}, b = {b})"
+            return Check("restrict is a ring homomorphism", False,
+                         f"{name}: restrict(a*b) = {image}, "
+                         f"restrict(a)*restrict(b) = {product}")
+    return Check("restrict is a ring homomorphism", True)
+
+
+def verify_restriction_hom(n: int, trials: int = 25, seed: int = 0) -> bool:
+    """Whether ``restriction_hom_check`` passes."""
+    return restriction_hom_check(n, trials, seed).passed
 
 
 def verify_relations_vanish(n: int) -> Report:

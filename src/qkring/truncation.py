@@ -7,9 +7,15 @@ itself vanish at N = 0; the N = 0 column must reproduce the order 4k of phi
 in R/phi^2 R.)
 
 The ideal is encoded as the integer lattice spanned by phi^(N+2) * b over
-the k+3 basis elements b; orders are read off the Smith normal form of that
-(k+3) x (k+3) matrix.  The lattice has rank k+2 because phi vanishes only
-on the identity class, so exactly one free direction survives.
+the k+3 basis elements b.  Every such row has dimension 0, because phi
+does, so coordinate 0 (the trivial representation) is fixed by the others
+and is dropped.  Multiplying the regular representation by phi^(N+2) gives
+0, a dependency with coefficient 1 on b = 1, so the k+2 projected rows
+b != 1 span the projected lattice; their determinant D is its index, and
+D * Z^(k+2) lies inside it.  Orders are read off the Smith normal form of
+the reduced Hermite basis of the lattice modulo D, a (k+2)-square matrix
+whose Smith transforms stay small (under 64 bits for n <= 10, N <= 16),
+where those of the raw lattice reached hundreds of thousands of bits.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .intmatrix import SmithForm, smith_normal_form
+from .intmatrix import SmithForm, determinant, hermite_basis_mod, smith_normal_form
 from .repring import GroupParams, RepElement, basis_elements, phi_element
 
 
@@ -26,7 +32,8 @@ class TruncatedQuotient:
     params: GroupParams
     N: int
     lattice: tuple  # rows: phi^(N+2) * b in irreducible-basis coordinates
-    snf: SmithForm
+    basis: tuple  # reduced Hermite basis of the lattice in coordinates 1..k+2
+    snf: SmithForm  # of ``basis``
 
     @property
     def size(self) -> int:
@@ -38,33 +45,37 @@ def truncated_quotient(n: int, N: int) -> TruncatedQuotient:
         raise ValueError("N must be >= 0")
     params = GroupParams(n)
     power = phi_element(params) ** (N + 2)
-    rows = tuple(tuple((power * b).coeffs) for b in basis_elements(params))
-    snf = smith_normal_form([list(r) for r in rows])
-    return TruncatedQuotient(params, N, rows, snf)
+    products = [power * b for b in basis_elements(params)]
+    if any(p.dimension() for p in products):
+        raise ArithmeticError(f"a row of phi^{N + 2} * R has nonzero dimension")
+    rows = tuple(p.coeffs for p in products)
+    index = abs(determinant([list(r[1:]) for r in rows[1:]]))
+    if index == 0:
+        raise ArithmeticError(f"the rows of phi^{N + 2} * R do not have full rank")
+    basis = tuple(map(tuple, hermite_basis_mod([r[1:] for r in rows], index)))
+    snf = smith_normal_form([list(r) for r in basis])
+    return TruncatedQuotient(params, N, rows, basis, snf)
 
 
 def order_of(element: RepElement, q: TruncatedQuotient):
     """Least t >= 1 with t * element in the relation lattice; None if no such t.
 
-    With U*M*V = D, the condition t*e in rowspace(M) becomes per-column
-    divisibility of t * (e*V) by the diagonal of D.
+    Every lattice vector has dimension 0, so an element of nonzero dimension
+    has no finite order.  A dimension-0 element is fixed by its coordinates
+    1..k+2, those of ``q.basis``; with U*B*V = D, the condition t*e in
+    rowspace(B) becomes per-column divisibility of t * (e*V) by the
+    diagonal of D.
     """
     if element.params != q.params:
         raise ValueError("element and quotient have different group parameters")
-    size = q.size
+    if element.dimension() != 0:
+        return None
+    e = element.coeffs[1:]
     V = q.snf.V
-    e = element.coeffs
-    eV = [sum(e[i] * V[i][j] for i in range(size)) for j in range(size)]
-    diag = q.snf.diagonal
     t = 1
-    for j in range(size):
-        d = diag[j] if j < len(diag) else 0
-        a = eV[j]
-        if d == 0:
-            if a != 0:
-                return None
-        elif a:
-            t = lcm(t, d // gcd(d, a))
+    for j, d in enumerate(q.snf.diagonal):
+        a = sum(e[i] * V[i][j] for i in range(len(e)))
+        t = lcm(t, d // gcd(d, a))
     return t
 
 
@@ -75,7 +86,7 @@ def phi_order(n: int, N: int):
 
 def torsion_order(q: TruncatedQuotient) -> int:
     """Product of the nonzero elementary divisors: the size of the torsion
-    part of the quotient group."""
+    part of the quotient group, which is the index D of the lattice."""
     out = 1
     for d in q.snf.diagonal:
         if d:

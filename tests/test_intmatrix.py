@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkring.intmatrix import (determinant, identity_matrix, mat_mul,
-                              smith_normal_form)
+from qkring.intmatrix import (SmithForm, determinant, hermite_basis_mod,
+                              identity_matrix, mat_mul, smith_normal_form)
 
 
 def test_snf_examples():
@@ -73,3 +73,95 @@ def test_determinant_multiplicative(n, data):
     A = data.draw(_matrices(n, n))
     B = data.draw(_matrices(n, n))
     assert determinant(mat_mul(A, B)) == determinant(A) * determinant(B)
+
+
+M3 = [[12, 6, 4], [3, 9, 6], [2, 16, 14]]
+
+
+def test_snf_failure_is_none_on_a_valid_certificate():
+    for M in (M3, [[2, 4, 6], [4, 8, 12]], [[0, 0], [0, 0]]):
+        assert smith_normal_form(M).failure(M) is None
+
+
+def test_snf_doubled_diagonal_entry_is_named():
+    snf = smith_normal_form(M3)
+    snf.D[2][2] *= 2
+    assert not snf.verify(M3)
+    assert snf.failure(M3) == "(U*M*V)[2][2] = 30, D[2][2] = 60"
+
+
+def test_snf_perturbed_v_entry_is_named():
+    snf = smith_normal_form(M3)
+    UMV = mat_mul(mat_mul(snf.U, M3), snf.V)
+    snf.V[1][2] += 1
+    perturbed = mat_mul(mat_mul(snf.U, M3), snf.V)
+    i, j = next((i, j) for i in range(3) for j in range(3)
+                if perturbed[i][j] != UMV[i][j])
+    assert not snf.verify(M3)
+    assert snf.failure(M3) == (f"(U*M*V)[{i}][{j}] = {perturbed[i][j]}, "
+                               f"D[{i}][{j}] = {UMV[i][j]}")
+
+
+def test_snf_failure_names_each_later_condition():
+    # each certificate satisfies U*M*V = D and fails exactly one later condition
+    assert SmithForm([[2]], [[2]], [[1]]).failure([[1]]) == "det U = 2, not +-1"
+    assert SmithForm([[-3]], [[1]], [[-3]]).failure([[1]]) == "det V = -3, not +-1"
+    assert SmithForm([[-1]], [[1]], [[1]]).failure([[-1]]) == \
+        "negative diagonal entry D[0][0] = -1"
+    assert SmithForm([[2, 0], [0, 3]], identity_matrix(2), identity_matrix(2)).failure(
+        [[2, 0], [0, 3]]) == "D[0][0] = 2 does not divide D[1][1] = 3"
+    assert SmithForm([[0, 0], [0, 1]], identity_matrix(2), identity_matrix(2)).failure(
+        [[0, 0], [0, 1]]) == "D[0][0] = 0 does not divide D[1][1] = 1"
+    assert SmithForm([[1, 5], [0, 1]], identity_matrix(2), identity_matrix(2)).failure(
+        [[1, 5], [0, 1]]) == "nonzero off-diagonal entry D[0][1] = 5"
+
+
+def test_snf_failure_names_a_shape_mismatch():
+    snf = SmithForm([[1, 0]], [[1]], [[1]])
+    assert snf.failure([[1]]) == "U*M*V and D have different shapes"
+
+
+def _reduce_against(v, H):
+    """Subtract integer multiples of the rows of the upper triangular H from
+    v, column by column; the remainder is zero iff v lies in span(H)."""
+    v = list(v)
+    for j, row in enumerate(H):
+        q, r = divmod(v[j], row[j])
+        if r:
+            return v
+        v = [a - q * b for a, b in zip(v, row)]
+    return v
+
+
+def _assert_reduced_hermite(H, m):
+    assert len(H) == m and all(len(row) == m for row in H)
+    for i, row in enumerate(H):
+        assert all(x == 0 for x in row[:i])
+        assert row[i] > 0
+        for j in range(i + 1, m):
+            assert 0 <= row[j] < H[j][j]
+
+
+def test_hermite_basis_mod_example():
+    H = hermite_basis_mod(M3, abs(determinant(M3)))
+    assert H == [[1, 23, 2], [0, 30, 0], [0, 0, 10]]
+    _assert_reduced_hermite(H, 3)
+    for row in M3:
+        assert not any(_reduce_against(row, H))
+
+
+def test_hermite_basis_mod_rejects_bad_modulus():
+    with pytest.raises(ValueError):
+        hermite_basis_mod([[1]], 0)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 6), st.integers(1, 3), st.data())
+def test_hermite_basis_mod_random(m, factor, data):
+    M = data.draw(_matrices(m, m).filter(lambda A: determinant(A) != 0))
+    det = abs(determinant(M))
+    H = hermite_basis_mod(M, factor * det)  # any multiple of the index works
+    _assert_reduced_hermite(H, m)
+    assert abs(determinant(H)) == det
+    for row in M:
+        assert not any(_reduce_against(row, H))

@@ -5,6 +5,7 @@ table; the certifier of that ring must catch it.
 """
 
 import json
+import re
 
 import pytest
 
@@ -84,6 +85,35 @@ def test_lens_table_defect_fails_restriction(plant):
     assert not lens.verify_restriction_hom(3)
 
 
+def test_lens_table_defect_names_the_restriction_pair(plant, capsys):
+    # restrict(d_1) = eta + eta^3, so d_1*d_1 is the first basis pair whose
+    # lens-side product uses eta * eta
+    plant(lens._ring(2), 1, 1)
+    detail = ("d_1*d_1: restrict(a*b) = 2 + 2*eta^2, "
+              "restrict(a)*restrict(b) = 2 + 3*eta^2")
+    assert lens.restriction_hom_check(3).witness == detail
+    assert cli.main(["verify", "--n", "3", "--suite", "restriction", "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks[0] == {"name": "restrict is a ring homomorphism", "passed": False,
+                         "detail": detail}
+
+
+def test_restriction_random_trial_is_named(monkeypatch):
+    # basis products have coefficients of at most 2, so a restriction that is
+    # wrong only on large coefficients passes every basis pair
+    true_restrict = lens.restrict
+
+    def planted(r):
+        image = true_restrict(r)
+        return image + lens.lens_one(r.params.k) if max(map(abs, r.coeffs)) > 20 else image
+
+    monkeypatch.setattr(lens, "restrict", planted)
+    witness = lens.restriction_hom_check(3, trials=5, seed=1).witness
+    assert re.fullmatch(r"random trial 0 \(a = .+, b = .+\): restrict\(a\*b\) = .+, "
+                        r"restrict\(a\)\*restrict\(b\) = .+", witness), witness
+    assert not lens.verify_restriction_hom(3, trials=5, seed=1)
+
+
 # k = 2: entry (2, 2) is eta^2 * eta^2, used only by v2^2 = (eta^2 - 1)^2;
 # entry (1, 1) is eta * eta, used by every power of w from w^2 on.
 @pytest.mark.parametrize("i,j,residues", [
@@ -98,9 +128,12 @@ def test_lens_table_defect_leaves_relation_residue(plant, capsys, i, j, residues
     failures = lens.verify_relations_vanish(3).failures()
     assert {c.name: c.witness for c in failures} == residues
     assert cli.main(["verify", "--n", "3", "--suite", "restriction", "--format", "json"]) == 1
-    checks = json.loads(capsys.readouterr().out)["checks"]
-    # the homomorphism check may fail as well; it has no residue to show
+    hom, *checks = json.loads(capsys.readouterr().out)["checks"]
     assert {c["name"]: c["detail"] for c in checks if "detail" in c} == residues
+    # the homomorphism check fails as well, at the first basis pair that
+    # uses the planted entry
+    assert hom["name"] == "restrict is a ring homomorphism" and not hom["passed"]
+    assert hom["detail"].startswith({(2, 2): "eta2*eta2: ", (1, 1): "d_1*d_1: "}[i, j])
 
 
 # (2, 2) is left out: no k = 4 character value has a zeta^2 term, so that

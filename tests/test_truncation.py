@@ -1,7 +1,11 @@
+from math import gcd, lcm
+
 import pytest
 
+from qkring import truncation
 from qkring.intmatrix import determinant, smith_normal_form
-from qkring.repring import GroupParams, basis_elements, one, phi_element, zero
+from qkring.repring import (GroupParams, RepElement, basis_elements, one,
+                            phi_element, zero)
 from qkring.truncation import (TableCell, corollary2_table, order_of,
                                phi_order, pow2_str, torsion_order,
                                truncated_quotient)
@@ -28,9 +32,112 @@ def test_lattice_rows_are_phi_power_multiples():
 
 
 def test_snf_certificate():
+    # the Smith form factors the reduced Hermite basis, not the raw lattice
     for (n, N) in [(3, 0), (3, 2), (4, 1), (5, 0)]:
         q = truncated_quotient(n, N)
-        assert q.snf.verify([list(r) for r in q.lattice])
+        assert q.snf.failure([list(r) for r in q.basis]) is None
+        assert q.snf.verify([list(r) for r in q.basis])
+
+
+def _in_span_of_hermite(v, H):
+    for j, row in enumerate(H):
+        q, r = divmod(v[j], row[j])
+        if r:
+            return False
+        v = [a - q * b for a, b in zip(v, row)]
+    return not any(v)
+
+
+@pytest.mark.parametrize("n,N", [(3, 0), (3, 3), (4, 1), (4, 4), (5, 2)])
+def test_basis_spans_the_projected_lattice(n, N):
+    sympy = pytest.importorskip("sympy")
+    q = truncated_quotient(n, N)
+    projected = [list(r[1:]) for r in q.lattice]
+    basis = [list(r) for r in q.basis]
+    # the lattice lies in span(basis) ...
+    assert all(_in_span_of_hermite(row, basis) for row in projected)
+    # ... and every basis row is an integer combination of the rows b != 1
+    coeffs = sympy.Matrix(basis) * sympy.Matrix(projected[1:]).inv()
+    assert all(c.is_integer for c in coeffs)
+
+
+def _route_of_the_raw_lattice(q):
+    """Orders and torsion from the Smith form of the raw (k+3)-square
+    lattice, as computed before the reduced basis was introduced."""
+    snf = smith_normal_form([list(r) for r in q.lattice])
+    assert snf.verify([list(r) for r in q.lattice])
+    size = q.size
+
+    def order(element):
+        e = element.coeffs
+        t = 1
+        for j in range(size):
+            d = snf.diagonal[j]
+            a = sum(e[i] * snf.V[i][j] for i in range(size))
+            if d == 0:
+                if a:
+                    return None
+            else:
+                t = lcm(t, d // gcd(d, a))
+        return t
+
+    torsion = 1
+    for d in snf.diagonal:
+        if d:
+            torsion *= d
+    return order, torsion
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("N", range(7))
+def test_matches_the_raw_lattice_route(n, N):
+    q = truncated_quotient(n, N)
+    order, torsion = _route_of_the_raw_lattice(q)
+    assert torsion_order(q) == torsion
+    phi = phi_element(q.params)
+    elements = basis_elements(q.params) + [phi, phi ** 2, zero(q.params),
+                                           phi - 3 * basis_elements(q.params)[-1]]
+    for e in elements:
+        assert order_of(e, q) == order(e)
+
+
+@pytest.mark.parametrize("n,N", [(3, 0), (3, 2), (3, 4), (4, 0), (4, 2), (4, 3)])
+def test_elementary_divisors_match_sympy(n, N):
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    from sympy import ZZ, Matrix
+    q = truncated_quotient(n, N)
+    factors = normalforms.invariant_factors(Matrix([list(r) for r in q.lattice]), domain=ZZ)
+    assert [int(d) for d in factors if d] == q.snf.diagonal
+
+
+@pytest.mark.parametrize("n,N", [(5, 8), (6, 4), (7, 9)])
+def test_smith_form_entries_stay_small(n, N):
+    # the raw lattice's transforms reached 163,826 bits at (5, 8) and
+    # 273,380 bits at (6, 4)
+    snf = truncated_quotient(n, N).snf
+    bits = max(abs(x).bit_length() for m in (snf.D, snf.U, snf.V) for row in m for x in row)
+    assert bits <= 64
+    assert phi_order(n, N) == 2 ** (n + 2 * N)
+
+
+def test_order_of_nonzero_dimension_is_infinite():
+    q = truncated_quotient(4, 1)
+    phi = phi_element(q.params)
+    assert order_of(phi + one(q.params), q) is None
+    assert order_of(RepElement(q.params, (0, 0, 0, 0, 1, 0, 0)), q) is None
+    assert order_of(RepElement(q.params, (-2, 0, 0, 0, 1, 0, 0)), q) == 64
+
+
+def test_rows_of_nonzero_dimension_are_rejected(monkeypatch):
+    monkeypatch.setattr(truncation, "phi_element", one)
+    with pytest.raises(ArithmeticError, match="nonzero dimension"):
+        truncated_quotient(3, 0)
+
+
+def test_singular_rows_are_rejected(monkeypatch):
+    monkeypatch.setattr(truncation, "determinant", lambda rows: 0)
+    with pytest.raises(ArithmeticError, match="full rank"):
+        truncated_quotient(3, 0)
 
 
 def test_order_examples():

@@ -6,10 +6,11 @@ from .adams import PhiPoly, compose_check, g_poly, psi_oracle, psi_series, verif
 from .cohomology import CohGroup, consistency_report, h_group, predicted_reduced_order
 from .intmath import CyclotomicInt, IntPoly, binomial, chebyshev_t, two_adic_valuation
 from .intmatrix import SmithForm, determinant, hermite_basis_mod, smith_normal_form
-from .kring import (KElement, RelationSet, basis_change_matrix, embed_to_R,
-                    multiply_nf, reduce, relations_for, verify_embedding,
-                    verify_local_confluence, verify_minimality_witness,
-                    verify_relation3_redundant, verify_relations_in_R)
+from .kring import (KElement, MinimalityCertificate, RelationSet, basis_change_matrix,
+                    embed_to_R, minimality_certificates, minimality_check, multiply_nf,
+                    reduce, relations_for, verify_embedding, verify_local_confluence,
+                    verify_minimality_witness, verify_relation3_redundant,
+                    verify_relations_in_R)
 from .lens import (LensElement, eta_power, lens_multiply, restrict,
                    restriction_hom_check, verify_relations_vanish,
                    verify_restriction_hom, w_element)

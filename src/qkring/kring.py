@@ -19,13 +19,25 @@ triples (a, b, c) for v1^a * v2^b * phi^c.  Oriented left-to-right, every
 rule strictly decreases (number of v-factors, total degree) in
 lexicographic order, which is what makes ``reduce`` terminate.  (Total
 degree alone does not work: the right side of relation 5 contains
-phi^(k-1).)  Normal forms live on the basis {1, v1, v2, phi, ..., phi^k};
-their product contracts a table of reduced basis products, built on the
-first product for each n.
+phi^(k-1).)  Normal forms live on the basis {1, v1, v2, phi, ..., phi^k}.
+
+Their product contracts a table of basis products, built on the first
+product for each n without the rewriter.  Multiplication by phi is a
+linear operator on the basis: phi*1 = phi, phi*v1 and phi*v2 are the right
+sides of relations 4 and 5, phi*phi^j is phi^(j+1) for j < k, and
+phi*phi^k is the right side of the phi^(k+1) rule.  Applying it j times to
+1, v1 or v2 gives b*phi^j, and phi^i*phi^j is the (i+j)-th element of the
+chain from 1; v1^2, v2^2 and v1*v2 are the right sides of relations 1, 2
+and 6.
 
 Correctness is certified against R(Q_{4k}): the basis-change matrix of the
 embedding is unimodular and normal-form multiplication commutes with the
-embedding on all basis pairs.
+embedding on all basis pairs.  Minimality is certified by ideal
+non-membership: each presentation relation r has a degree D and an exponent
+e for which r is outside I + m^(D+1) + 2^e*Z[v1, v2, phi], where I is the
+ideal of the other four relations and m = (v1, v2, phi).  That is a
+question about one integer lattice in the monomials of degree <= D, and a
+nonzero residue of r against its Hermite basis is the certificate.
 """
 
 from __future__ import annotations
@@ -37,13 +49,12 @@ from operator import mul
 
 from .adams import PhiPoly, g_poly, psi_series
 from .freemodule import Element, Ring, commutative_table, format_terms
-from .intmatrix import determinant
+from .intmatrix import determinant, hermite_basis_mod
 from .report import Check, Report
 from .repring import GroupParams, RepElement, canonical_d, eta1, eta2, one, phi_element
 
 Mono = tuple  # (a, b, c) exponents of v1, v2, phi
 
-PRESENTATION_LABELS = ("relation1", "relation2", "relation4", "relation5", "relation6")
 PHI_TOP = "phi_top"
 
 
@@ -152,9 +163,6 @@ class RelationSet:
                 return r
         raise KeyError(label)
 
-    def rule_labels(self):
-        return tuple(r.label for r in self.rules)
-
 
 def _freeze(fp: dict) -> tuple:
     return tuple(sorted(fp.items()))
@@ -222,8 +230,9 @@ def rewrite(expr: dict, rset: RelationSet, labels=None) -> dict:
     """Apply oriented rules until none of the allowed ones fires.
 
     With the full rule set the result is supported on the normal-form basis;
-    with a restricted label set it may retain stuck monomials, which is
-    exactly what the redundancy and minimality checks look at.
+    with a restricted label set it may retain stuck monomials.  It serves
+    ``reduce``, local confluence and the redundancy of relation 3; neither
+    the table of basis products nor the minimality certificate uses it.
     """
     rules = rset.rules if labels is None else tuple(
         r for r in rset.rules if r.label in labels)
@@ -305,14 +314,69 @@ def _ring(n: int) -> Ring:
     return Ring(f"K(BQ_{order})", n, nf_basis_labels(n), partial(_table, n))
 
 
+def _coefficients(fp: dict, k: int, problem: str) -> list:
+    """Coefficients of a formal polynomial over the normal-form basis.  A
+    monomial outside the basis raises ``ArithmeticError(problem)``, with the
+    monomial's name in place of ``{}``."""
+    index = {mono: i for i, mono in enumerate(_basis_monos(k))}
+    coeffs = [0] * len(index)
+    for mono, c in fp.items():
+        if mono not in index:
+            raise ArithmeticError(problem.format(mono_name(mono)))
+        coeffs[index[mono]] = c
+    return coeffs
+
+
+def _sparse(vector) -> tuple:
+    return tuple((t, c) for t, c in enumerate(vector) if c)
+
+
+def _phi_operator(rhs: dict, k: int) -> list:
+    """Columns of multiplication by phi on the normal-form basis, from the
+    rules' right sides ``rhs`` (label -> coefficient list): column t lists
+    the pairs (s, c) with phi * b_t = sum of c * b_s."""
+    return ([((3, 1),), _sparse(rhs["relation4"]), _sparse(rhs["relation5"])]
+            + [((3 + j, 1),) for j in range(1, k)]  # phi^j -> phi^(j+1)
+            + [_sparse(rhs[PHI_TOP])])
+
+
 def _table(n: int):
-    """Structure constants: each product of two basis monomials, reduced.
-    Pairs with the same product monomial, such as phi * phi^3 and
-    phi^2 * phi^2, share one reduction."""
-    monos = _basis_monos(GroupParams(n).k)
-    reduced = lru_cache(maxsize=None)(lambda mono: reduce({mono: 1}, n).coeffs)
-    return commutative_table(len(monos), lambda i, j: reduced(
-        tuple(x + y for x, y in zip(monos[i], monos[j]))))
+    """Structure constants from chains of the multiplication-by-phi operator:
+    b * phi^j is the operator applied j times to b in {1, v1, v2}, and
+    phi^i * phi^j is element i + j of the chain from 1.  v1^2, v2^2 and
+    v1*v2 are the right sides of relations 1, 2 and 6."""
+    rset = relations_for(n)
+    k = rset.k
+    rhs = {rule.label: _coefficients(
+        dict(rule.rhs), k, f"right side of {rule.label} leaves the normal-form basis at {{}}")
+        for rule in rset.rules}
+    operator = _phi_operator(rhs, k)
+
+    def chain(start: int, length: int) -> list:
+        vector = [0] * (k + 3)
+        vector[start] = 1
+        out = [vector]
+        for _ in range(length):
+            vector = [0] * (k + 3)
+            for x, column in zip(out[-1], operator):
+                if x:
+                    for s, c in column:
+                        vector[s] += x * c
+            out.append(vector)
+        return out
+
+    # basis index t >= 3 is phi^(t-2)
+    chains = (chain(0, 2 * k), chain(1, k), chain(2, k))
+    squares = {(1, 1): rhs["relation1"], (1, 2): rhs["relation6"], (2, 2): rhs["relation2"]}
+
+    def product(i: int, j: int):  # i <= j
+        if j < 3:
+            return chains[j][0] if i == 0 else squares[i, j]
+        if i < 3:
+            return chains[i][j - 2]
+        return chains[0][i + j - 4]
+
+    return commutative_table(k + 3, product)
 
 
 def _k_basis(n: int, idx: int) -> KElement:
@@ -356,12 +420,7 @@ def nf_basis_labels(n: int):
 def reduce(expr: dict, n: int) -> KElement:
     """Full normal form of a formal polynomial in v1, v2, phi."""
     rset = relations_for(n)
-    index = {mono: i for i, mono in enumerate(_basis_monos(rset.k))}
-    coeffs = [0] * len(index)
-    for mono, c in rewrite(expr, rset).items():
-        if mono not in index:
-            raise ArithmeticError(f"stuck monomial {mono_name(mono)} survived reduction")
-        coeffs[index[mono]] = c
+    coeffs = _coefficients(rewrite(expr, rset), rset.k, "stuck monomial {} survived reduction")
     return KElement(n, *coeffs[:3], coeffs[3:])
 
 
@@ -390,13 +449,16 @@ class Substitution:
 
     def of_formal(self, fp: dict):
         unit = self._pows[0][0]
-        acc = 0 * unit
-        for mono, coeff in fp.items():
+        if not fp:
+            return 0 * unit
+        terms = []
+        for mono in fp:
             # a product with the unit costs as much as any other, so zeroth
             # powers are left out of the term
             factors = [self._power(var, e) for var, e in enumerate(mono) if e] or [unit]
-            acc = acc + coeff * prod(factors[1:], start=factors[0])
-        return acc
+            terms.append(prod(factors[1:], start=factors[0]).coeffs)
+        # one pass per coordinate, with no intermediate element
+        return unit._new(sum(map(mul, fp.values(), column)) for column in zip(*terms))
 
     def of_phipoly(self, p: PhiPoly):
         return self.of_formal(fp_from_phipoly(p))
@@ -474,30 +536,106 @@ def verify_relation3_redundant(n: int) -> bool:
     return red == gfp or red == fp_neg(gfp)
 
 
+MINIMALITY_DEGREES = (1, 2, 3)
+
+
+@dataclass(frozen=True)
+class MinimalityCertificate:
+    """Proof that presentation relation ``label`` is not in the ideal I of
+    the other four.
+
+    ``residue`` is the relation, truncated to degrees <= ``degree`` and
+    reduced against the Hermite basis of I + m^(degree+1) +
+    2^exponent*Z[v1, v2, phi] in those degrees, m = (v1, v2, phi).  It is
+    nonzero, so the relation lies outside that larger ideal, hence outside I.
+    """
+
+    label: str
+    degree: int
+    exponent: int
+    residue: dict
+
+    def __str__(self) -> str:
+        return (f"{self.label}: D={self.degree}, e={self.exponent}, "
+                f"residue {fp_format(self.residue)}")
+
+
+def _monomials(low: int, high: int) -> list:
+    """Monomials of total degree low..high, by degree."""
+    return [(a, b, d - a - b) for d in range(low, high + 1)
+            for a in range(d + 1) for b in range(d + 1 - a)]
+
+
+def _minimality_certificate(label: str, relation: dict, others, n: int):
+    """The certificate with the least D, then the least e (D in
+    MINIMALITY_DEGREES, e <= n+2); None when there is none."""
+    for degree in MINIMALITY_DEGREES:
+        monos = _monomials(1, degree)
+        index = {mono: i for i, mono in enumerate(monos)}
+
+        def truncate(fp: dict) -> list:
+            vector = [0] * len(monos)
+            for mono, c in fp.items():
+                if mono in index:
+                    vector[index[mono]] = c
+            return vector
+
+        # m'*r_j lies in m^(degree+1) when deg m' >= degree, and only the
+        # part of r_j of degree <= degree reaches the truncation
+        lows = [{m: c for m, c in r.items() if sum(m) <= degree} for r in others]
+        rows = [truncate(fp_mul({mono: 1}, low))
+                for low in lows for mono in _monomials(0, degree - 1)]
+        target = truncate(relation)
+        for exponent in range(1, n + 3):
+            residue = target
+            for j, row in enumerate(hermite_basis_mod(rows, 2 ** exponent)):
+                q = residue[j] // row[j]
+                if q:
+                    residue = [x - q * y for x, y in zip(residue, row)]
+            if any(residue):
+                return MinimalityCertificate(label, degree, exponent, {
+                    mono: c for mono, c in zip(monos, residue) if c})
+    return None
+
+
+def minimality_certificates(n: int) -> dict:
+    """Label -> ``MinimalityCertificate`` of each presentation relation, or
+    None where the search finds none."""
+    differences = {rel.label: rel.difference() for rel in relations_for(n).relations}
+    for label, fp in differences.items():
+        # the lattice leaves out the constant coordinate, which is sound only
+        # because no relation, and so no multiple of one, has a constant term
+        if (0, 0, 0) in fp:
+            raise ArithmeticError(f"{label} has a nonzero constant term")
+    return {label: _minimality_certificate(
+        label, fp, [d for other, d in differences.items() if other != label], n)
+        for label, fp in differences.items()}
+
+
+def minimality_check(n: int) -> Check:
+    """Passes when every presentation relation has a minimality certificate;
+    a failure names the relations that have none."""
+    certificates = minimality_certificates(n)
+    missing = [label for label, cert in certificates.items() if cert is None]
+    detail = (f"no certificate with D <= {MINIMALITY_DEGREES[-1]}, e <= {n + 2} "
+              f"for {', '.join(missing)}" if missing
+              else "; ".join(map(str, certificates.values())))
+    return Check("each presentation relation is necessary", not missing, detail)
+
+
 def verify_minimality_witness(n: int) -> bool:
-    """Dropping any single presentation relation must leave some basis-pair
-    product stuck outside the normal-form basis; the full set must close."""
-    rset = relations_for(n)
-    k = rset.k
-    monos = _basis_monos(k)[1:]
-    basis = set(_basis_monos(k))
-    pairs = [tuple(x + y for x, y in zip(m1, m2)) for m1 in monos for m2 in monos]
+    """No presentation relation lies in the ideal of the other four.
 
-    def closes(labels) -> bool:
-        for mono in pairs:
-            red = rewrite({mono: 1}, rset, labels)
-            if any(m not in basis for m in red):
-                return False
-        return True
-
-    all_labels = rset.rule_labels()
-    if not closes(None):
-        return False
-    for drop in PRESENTATION_LABELS:
-        kept = tuple(lab for lab in all_labels if lab != drop)
-        if closes(kept):
-            return False  # the dropped relation was not necessary
-    return True
+    Minimality of a presentation is ideal non-membership, in the polynomial
+    ring and in its completion at m = (v1, v2, phi), which is where K(BG)
+    lives (Atiyah, Characters and cohomology of finite groups, Publ. IHES 9
+    (1961)).  If r were in the ideal I of the others, it would be in the
+    larger ideal I + m^(D+1) + 2^e*Z[v1, v2, phi] for every D and e.
+    Membership in that one is decided exactly on the finite lattice of
+    degrees <= D, so a nonzero residue of r against its Hermite basis
+    proves r is not in I.  See ``minimality_check``.
+    """
+    return minimality_check(n).passed
 
 
 def critical_monomials(k: int):
@@ -507,15 +645,17 @@ def critical_monomials(k: int):
 
 def verify_local_confluence(n: int) -> Report:
     """At each critical monomial, every applicable first rewrite must lead to
-    the same normal form."""
+    the same normal form.  A failure names the first two differing normal
+    forms and the rules that gave them."""
     rset = relations_for(n)
     checks = []
     for mono in critical_monomials(rset.k):
         rules = [r for r in rset.rules if r.applies_to(mono)]
-        results = [reduce(apply_rule_once(mono, r), n) for r in rules]
-        ok = len(rules) >= 2 and all(r == results[0] for r in results)
-        checks.append(Check(mono_name(mono), ok,
-                            detail=f"{len(rules)} applicable rules"))
+        results = [(r.label, reduce(apply_rule_once(mono, r), n)) for r in rules]
+        split = next((other for other in results[1:] if other[1] != results[0][1]), None)
+        detail = (f"{len(rules)} applicable rules" if split is None else
+                  f"{results[0][0]} gives {results[0][1]}, {split[0]} gives {split[1]}")
+        checks.append(Check(mono_name(mono), len(rules) >= 2 and split is None, detail))
     return Report(f"local confluence, n={n}", tuple(checks))
 
 

@@ -9,7 +9,8 @@ from qkring import kring
 from qkring.adams import g_poly
 from qkring.kring import (KElement, apply_rule_once, basis_change_matrix,
                           embed_to_R, fp_from_phipoly, fp_mul, fp_neg,
-                          k_one, k_phi_power, k_v1, k_v2, k_zero, mono_name,
+                          k_one, k_phi_power, k_v1, k_v2, k_zero,
+                          minimality_certificates, minimality_check, mono_name,
                           multiply_nf, nf_basis, nf_basis_labels, reduce,
                           relations_for, rewrite, verify_embedding,
                           verify_local_confluence, verify_minimality_witness,
@@ -145,15 +146,19 @@ def test_minimality(n):
 
 
 def test_minimality_specific_witnesses():
-    rset = relations_for(4)
-    keep_without = lambda drop: tuple(
-        lab for lab in rset.rule_labels() if lab != drop)
-    # without relation 6, v1*v2 is stuck
-    red = rewrite({(1, 1, 0): 1}, rset, keep_without("relation6"))
-    assert (1, 1, 0) in red
-    # without relation 4, v1*phi is stuck
-    red = rewrite({(1, 0, 1): 1}, rset, keep_without("relation4"))
-    assert (1, 0, 1) in red
+    # (D, e) of the least certificate: outside I_others + m^(D+1) + 2^e
+    for n in range(3, 9):
+        expected = {"relation1": (2, 1), "relation2": (2, 1), "relation4": (2, 1),
+                    "relation5": (2, 1) if n == 3 else (1, n),
+                    "relation6": (1, 3) if n == 3 else (2, 1)}
+        certificates = minimality_certificates(n)
+        assert {label: (c.degree, c.exponent)
+                for label, c in certificates.items()} == expected, n
+    # at D = 1 relation 5 leaves k*(2-k)*phi, of 2-adic valuation n-1 (n >= 4)
+    assert minimality_certificates(4)["relation5"].residue == {PHI: 8}
+    check = minimality_check(3)
+    assert check.passed
+    assert check.detail.startswith("relation1: D=2, e=1, residue v1^2; ")
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -212,6 +217,19 @@ def test_import_builds_no_ring():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[0, 0, 0, 0]"
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_k_table_matches_the_rewriter(n):
+    # the table comes from the phi operator; the rewriter is the independent
+    # route to each basis product
+    monos = kring._basis_monos(GroupParams(n).k)
+    table = kring._table(n)
+    for i, a in enumerate(monos):
+        for j in range(i, len(monos)):
+            mono = tuple(x + y for x, y in zip(a, monos[j]))
+            expected = tuple((t, c) for t, c in enumerate(reduce({mono: 1}, n).coeffs) if c)
+            assert table[i][j] == table[j][i] == expected, (i, j)
 
 
 def test_k_table_built_on_first_product_only():

@@ -1,9 +1,11 @@
-"""The structure-constant tables are checked, not trusted.
+"""The structure-constant tables and the relation set are checked, not trusted.
 
-One coefficient, off by one, is planted in a test-only copy of a ring's
-table; the certifier of that ring must catch it.
+A defect is planted in a test-only copy: one coefficient, off by one, of a
+ring's table or of the multiplication-by-phi operator, or a changed relation
+set.  The certifier concerned must catch it and name its witness.
 """
 
+import dataclasses
 import json
 import re
 
@@ -14,21 +16,38 @@ from qkring.repring import GroupParams
 
 
 @pytest.fixture
-def plant(monkeypatch):
+def fresh_caches():
+    """Clears, after the test, every cache that may hold a planted table or
+    products made with one."""
+    yield
+    for cache in (repring._ring, kring._ring, kring._embedding, kring._basis_columns,
+                  lens._ring, lens._substitution, intmath._ring,
+                  repring._character_table):
+        cache.cache_clear()
+
+
+@pytest.fixture
+def plant(monkeypatch, fresh_caches):
     """plant(ring, i, j) adds 1 to the first coefficient of b_i * b_j (but
-    not of b_j * b_i) in a copy of the ring's table.  Every cache that may
-    hold products made with the copy is cleared afterwards."""
+    not of b_j * b_i) in a copy of the ring's table."""
     def _plant(ring, i, j):
         table = [list(row) for row in ring.table]
         (t, c), *rest = table[i][j]
         table[i][j] = ((t, c + 1), *rest)
         monkeypatch.setitem(vars(ring), "table", table)
 
-    yield _plant
-    for cache in (repring._ring, kring._ring, kring._embedding, kring._basis_columns,
-                  lens._ring, lens._substitution, intmath._ring,
-                  repring._character_table):
-        cache.cache_clear()
+    return _plant
+
+
+def patch_relations(monkeypatch, n, **changes):
+    """Make ``kring.relations_for(n)`` return a copy of its relation set with
+    ``changes`` applied, each a function of the true set."""
+    true_relations = kring.relations_for
+    rset = true_relations(n)
+    planted = dataclasses.replace(rset, **{name: change(rset)
+                                          for name, change in changes.items()})
+    monkeypatch.setattr(kring, "relations_for",
+                        lambda m: planted if m == n else true_relations(m))
 
 
 @pytest.mark.parametrize("i,j", [(0, 0), (4, 2), (4, 4)])
@@ -66,6 +85,62 @@ def test_k_table_defect_fails_at_that_pair(plant, capsys, i, j, detail):
     assert [c for c in checks if not c["passed"]] == [
         {"name": name, "passed": False, "detail": detail}]
     assert not any("detail" in c for c in checks if c["passed"])
+
+
+# phi operator column 1 is phi*v1 = -2*v1 (relation 4); column 4 at k = 2 is
+# phi*phi^2 = -8*phi - 6*phi^2 (the phi^3 rule), used by phi^3 and phi^4
+@pytest.mark.parametrize("column,names", [
+    (1, ["v1*phi", "v1*phi^2", "phi*v1", "phi^2*v1"]),
+    (4, ["phi*phi^2", "phi^2*phi", "phi^2*phi^2"])])
+def test_phi_operator_defect_fails_embedding(monkeypatch, fresh_caches, column, names):
+    true_operator = kring._phi_operator
+
+    def planted(*args):
+        columns = list(true_operator(*args))
+        (t, c), *rest = columns[column]
+        columns[column] = ((t, c + 1), *rest)
+        return columns
+
+    monkeypatch.setattr(kring, "_phi_operator", planted)
+    kring._ring.cache_clear()
+    failures = kring.verify_embedding(3).failures()
+    assert [c.name for c in failures] == [f"embed({name})" for name in names]
+    assert all(c.witness.startswith("K gives ") for c in failures)
+
+
+def test_k_table_rejects_a_right_side_outside_the_basis(monkeypatch):
+    patch_relations(monkeypatch, 3, rules=lambda r: tuple(
+        dataclasses.replace(rule, rhs=(((1, 1, 0), 1),)) if rule.label == "relation5"
+        else rule for rule in r.rules))
+    with pytest.raises(ArithmeticError,
+                       match=r"right side of relation5 leaves the normal-form basis at v1\*v2"):
+        kring._table(3)
+
+
+def test_appended_relation3_fails_minimality(monkeypatch, capsys):
+    patch_relations(monkeypatch, 4, relations=lambda r: r.relations + (r.relation3,))
+    detail = "no certificate with D <= 3, e <= 6 for relation3"
+    assert kring.minimality_check(4).witness == detail
+    assert not kring.verify_minimality_witness(4)
+    assert cli.main(["verify", "--n", "4", "--suite", "minimality", "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks == [{"name": "each presentation relation is necessary", "passed": False,
+                       "detail": detail}]
+
+
+def test_confluence_defect_names_the_differing_normal_forms(monkeypatch, capsys):
+    # relation 1 planted as v1^2 = -3*v1: v1^2*v2 then reduces two ways
+    patch_relations(monkeypatch, 3, rules=lambda r: tuple(
+        dataclasses.replace(rule, rhs=(((1, 0, 0), -3),)) if rule.label == "relation1"
+        else rule for rule in r.rules))
+    detail = ("relation1 gives -3*phi^2 - 12*phi + 6*v1 + 6*v2, "
+              "relation6 gives -2*phi^2 - 8*phi + 6*v1 + 4*v2")
+    failures = kring.verify_local_confluence(3).failures()
+    assert [(c.name, c.witness) for c in failures] == [("v1^2*v2", detail)]
+    assert cli.main(["verify", "--n", "3", "--suite", "confluence", "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c for c in checks if not c["passed"]] == [
+        {"name": "v1^2*v2", "passed": False, "detail": detail}]
 
 
 @pytest.mark.parametrize("i,j,residues", [

@@ -2,7 +2,8 @@
 groups Q_{2^n}, the finitely presented K-ring of their classifying spaces,
 and element orders in the associated truncated rings."""
 
-from .adams import PhiPoly, compose_check, g_poly, psi_oracle, psi_series, verify_g_identity
+from .adams import (PhiPoly, compose_check, g_poly, psi_oracle, psi_oracles, psi_series,
+                    verify_g_identity)
 from .cohomology import CohGroup, consistency_report, h_group, predicted_reduced_order
 from .intmath import CyclotomicInt, IntPoly, binomial, chebyshev_t, two_adic_valuation
 from .intmatrix import SmithForm, determinant, hermite_basis_mod, smith_normal_form

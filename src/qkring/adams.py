@@ -5,8 +5,10 @@ Two independent constructions of psi^i are kept side by side:
 * ``psi_series`` -- the closed binomial series
       psi^i(w) = sum_{j=1..i} [C(i,j) * C(i+j-1,j) / C(2j-1,j)] * w^j,
   whose coefficients must all reduce to integers;
-* ``psi_oracle`` -- t_i(w + 2) - 2 from the exact recurrence t_i, which
-  encodes psi^i(w) = z^i + z^-i - 2 at w = z + 1/z - 2.
+* ``psi_oracle`` -- s_i - 2, where s_i = t_i(w + 2) comes from running the
+  Chebyshev-style recurrence in w itself: s_0 = 2, s_1 = w + 2,
+  s_{i+1} = (w + 2)*s_i - s_{i-1}.  This encodes psi^i(w) = z^i + z^-i - 2
+  at w = z + 1/z - 2.
 
 Their equality is a standing regression test, not a one-time derivation.
 The relation polynomial g_{2k} = psi^(k+1) - psi^(k-1) likewise has its own
@@ -17,8 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
-from .intmath import IntPoly, binomial, chebyshev_t
+from .intmath import IntPoly, binomial
 
 
 @dataclass(frozen=True)
@@ -76,12 +79,26 @@ def psi_series(i: int) -> PhiPoly:
     return PhiPoly.of(*coeffs)
 
 
+def psi_oracles():
+    """psi^1, psi^2, ... built independently of ``psi_series``, as s_i - 2.
+
+    Each step of s_{i+1} = (w + 2)*s_i - s_{i-1} is a shift and a linear
+    combination, so the first i terms cost O(i^2) coefficient operations in
+    all, with no polynomial composition.  The generator is unbounded.
+    """
+    two, w_plus_2 = IntPoly.of(2), IntPoly.of(2, 1)
+    prev, cur = two, w_plus_2
+    while True:
+        # from_intpoly raises ArithmeticError unless s_i has constant term 2
+        yield PhiPoly.from_intpoly(cur - two)
+        prev, cur = cur, w_plus_2 * cur - prev
+
+
 def psi_oracle(i: int) -> PhiPoly:
-    """psi^i built independently as t_i(w + 2) - 2."""
+    """psi^i, the i-th term of ``psi_oracles``."""
     if i < 1:
         raise ValueError("psi^i requires i >= 1")
-    # from_intpoly raises ArithmeticError unless t_i(w+2) has constant term 2
-    return PhiPoly.from_intpoly(chebyshev_t(i).compose(IntPoly.of(2, 1)) - IntPoly.of(2))
+    return next(islice(psi_oracles(), i - 1, None))
 
 
 def g_poly(k: int) -> PhiPoly:

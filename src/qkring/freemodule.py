@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 
 
 def format_terms(terms) -> str:
@@ -109,19 +110,29 @@ class Element:
         return self._new(-a for a in self.coeffs)
 
     def __mul__(self, other):
+        """Integer scaling, or the ring product contracted with the table.
+
+        The right factor's nonzero (index, coefficient) pairs are collected
+        once, and each nonzero left coefficient reads only those entries of
+        its table row, so sparse factors (a character value has at most two
+        nonzero Z[zeta] terms, the lens ring's w three) cost the product of
+        their supports, not whole rows.
+        """
         if isinstance(other, int):
             return self._new(a * other for a in self.coeffs)
         if not isinstance(other, Element):
             return NotImplemented
         self._check(other)
-        out = [0] * len(self.coeffs)
-        for x, row in zip(self.coeffs, self.ring.table):
-            if x:
-                for y, entry in zip(other.coeffs, row):
-                    if y:
-                        xy = x * y
-                        for t, c in entry:
-                            out[t] += xy * c
+        left, right, table = self.coeffs, other.coeffs, self.ring.table
+        rank = len(left)
+        support = [(j, right[j]) for j in compress(range(rank), right)]
+        out = [0] * rank
+        for i in compress(range(rank), left):
+            x, row = left[i], table[i]
+            for j, y in support:
+                xy = x * y
+                for t, c in row[j]:
+                    out[t] += xy * c
         return self._new(out)
 
     __rmul__ = __mul__  # reached only with an integer on the left

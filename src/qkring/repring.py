@@ -16,6 +16,15 @@ product: ``verify_orthogonality`` proves the exact Z[zeta]-valued table
 invertible, and ``verify_structure_constants`` then compares the character
 of each basis product with the pointwise product of characters.
 ``decompose`` inverts ``character_of`` by inner products.
+
+Both certifiers work on the nonzero Z[zeta] terms of the table values
+(an irreducible value is an integer or zeta^a + zeta^-a, so it has at most
+two), and their Z[zeta] products use only the table that ``intmath`` builds
+from zeta^k = -1; the fold rules above never enter the oracle.  Neither
+certifier halves its work by symmetry: every ordered pair (i, j) is
+computed on both sides.  So an R defect in b_i * b_j that is absent from
+b_j * b_i fails at exactly that pair, and a one-sided Z[zeta] defect fails
+wherever a product is taken in that order.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
+from . import intmath
 from .freemodule import Element, Ring, commutative_table
 from .intmath import CyclotomicInt
 from .report import Check, Report
@@ -270,6 +280,12 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> int:
     total = CyclotomicInt.zero(params.k)
     for size, fv, gv in zip(class_sizes(params), f.values, g.values):
         total = total + size * (fv * gv.conj())
+    return _inner_product_value(total, params)
+
+
+def _inner_product_value(total: CyclotomicInt, params: GroupParams) -> int:
+    """total / |G|, where total is sum over classes of |class| * f * conj(g);
+    the quotient must be an integer."""
     value = total.as_int()
     q, r = divmod(value, params.group_order)
     if r:
@@ -285,6 +301,20 @@ def decompose(f: ClassFunction) -> RepElement:
     return RepElement(f.params, tuple(inner_product(f, chi) for chi in table))
 
 
+@lru_cache(maxsize=None)
+def _character_terms(n: int):
+    """The nonzero Z[zeta] terms of the character table: ``(terms,
+    conjugates)``, where ``terms[i][g]`` lists the (exponent, coefficient)
+    pairs of chi_i on class g and ``conjugates[i][g]`` those of its complex
+    conjugate."""
+    def nonzero(value):
+        return tuple((e, c) for e, c in enumerate(value.coeffs) if c)
+
+    table = _character_table(n)
+    return (tuple(tuple(nonzero(v) for v in chi.values) for chi in table),
+            tuple(tuple(nonzero(v.conj()) for v in chi.values) for chi in table))
+
+
 def verify_structure_constants(params: GroupParams) -> Report:
     """Compare relation-driven products against the character oracle.
 
@@ -296,15 +326,36 @@ def verify_structure_constants(params: GroupParams) -> Report:
     Groups, 2.3), and ``verify_orthogonality``, in the same ``oracle``
     suite, proves that; so this certificate needs no inner products.  A
     failing pair names the table's product.
+
+    Class by class, sum over t of N_ij^t * chi_t(g), from the product
+    b_i * b_j as R computes it, is compared with the ``CyclotomicInt``
+    product chi_i(g) * chi_j(g), both as {exponent: coefficient} over
+    nonzero terms; a pair stops at its first differing class.  Each product
+    of a distinct pair of values is computed once: 4,325 products serve the
+    300,763 class comparisons at n = 8.
     """
     table = character_table(params)
+    terms, _ = _character_terms(params.n)
     basis = basis_elements(params)
     labels = basis_labels(params)
+    pointwise = {}  # (terms of x, terms of y) -> nonzero terms of x * y
     checks = []
     for i, (a, fa) in enumerate(zip(basis, table)):
         for j, (b, fb) in enumerate(zip(basis, table)):
             product = multiply(a, b)
-            ok = character_of(product) == fa.pointwise(fb)
+            support = [(terms[t], c) for t, c in enumerate(product.coeffs) if c]
+            ok = True
+            for g, (x, y) in enumerate(zip(fa.values, fb.values)):
+                key = terms[i][g], terms[j][g]
+                if key not in pointwise:
+                    pointwise[key] = {e: c for e, c in enumerate((x * y).coeffs) if c}
+                combined = {}
+                for chi_t, c in support:
+                    for e, v in chi_t[g]:
+                        combined[e] = combined.get(e, 0) + c * v
+                if {e: c for e, c in combined.items() if c} != pointwise[key]:
+                    ok = False
+                    break
             checks.append(Check(f"{labels[i]}*{labels[j]}", ok,
                                 "" if ok else f"table gives {product}"))
     return Report(f"structure constants, n={params.n}", tuple(checks))
@@ -314,14 +365,30 @@ def verify_orthogonality(params: GroupParams) -> Report:
     """<chi_i, chi_j> = delta_ij over the full character table.
 
     A pair whose inner product is not an integer fails with that value.
+
+    Each entry sums |g| * chi_i(g) * conj(chi_j(g)) into one k-long integer
+    vector, over the nonzero terms of both values and through the Z[zeta]
+    table, with chi_i on the left as in ``inner_product(chi_i, chi_j)``,
+    and then takes the quotient by |G| as ``inner_product`` does.
     """
-    table = character_table(params)
+    terms, conjugates = _character_terms(params.n)
+    zeta_table = intmath._ring(params.k).table
+    sizes = class_sizes(params)
     labels = basis_labels(params)
+    k = params.k
     checks = []
-    for i, f in enumerate(table):
-        for j, g in enumerate(table):
+    for i, f in enumerate(terms):
+        for j, g in enumerate(conjugates):
+            total = [0] * k
+            for size, xs, ys in zip(sizes, f, g):
+                for a, x in xs:
+                    row = zeta_table[a]
+                    for b, y in ys:
+                        sxy = size * x * y
+                        for t, c in row[b]:
+                            total[t] += sxy * c
             try:
-                value = inner_product(f, g)
+                value = _inner_product_value(CyclotomicInt(k, total), params)
                 ok, detail = value == (1 if i == j else 0), f"value {value}"
             except ValueError as exc:
                 ok, detail = False, str(exc)

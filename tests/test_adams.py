@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkring.adams import (PhiPoly, compose_check, g_poly, psi_oracle,
-                          psi_series, verify_g_identity)
-from qkring.intmath import two_adic_valuation
+                          psi_oracles, psi_series, verify_g_identity)
+from qkring.intmath import IntPoly, chebyshev_t, two_adic_valuation
 
 
 def test_psi_small_values():
@@ -143,3 +143,11 @@ def test_evaluate_without_a_unit():
     phi = PhiPoly.of(1)
     assert psi_series(5).evaluate(phi) == psi_series(5)
     assert psi_series(3)(psi_series(2)) == psi_series(6)
+
+
+def test_psi_oracles_walk_matches_composed_chebyshev():
+    # the reference is the construction the walk replaced: t_i(w + 2) - 2
+    walk = psi_oracles()
+    for i in range(1, 41):
+        composed = chebyshev_t(i).compose(IntPoly.of(2, 1)) - IntPoly.of(2)
+        assert next(walk) == PhiPoly.from_intpoly(composed) == psi_oracle(i)

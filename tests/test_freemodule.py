@@ -1,0 +1,48 @@
+"""The shared product kernel against a dense contraction of each ring's table."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qkring import intmath, kring, lens, repring
+from qkring.intmath import CyclotomicInt
+from qkring.kring import KElement
+from qkring.lens import LensElement
+from qkring.repring import GroupParams, RepElement
+
+# ring name -> (ring descriptor, constructor from a full coefficient tuple)
+RINGS = {
+    "R": (lambda: repring._ring(4), lambda cs: RepElement(GroupParams(4), cs)),
+    "K": (lambda: kring._ring(4), lambda cs: KElement(4, cs[0], cs[1], cs[2], cs[3:])),
+    "lens": (lambda: lens._ring(4), lambda cs: LensElement(4, cs)),
+    "Z[zeta]": (lambda: intmath._ring(8), lambda cs: CyclotomicInt(8, cs)),
+}
+
+
+def _factors(rank):
+    """Dense vectors, or sparse ones with at most three nonzero entries."""
+    dense = st.lists(st.integers(-9, 9), min_size=rank, max_size=rank)
+    sparse = st.dictionaries(st.integers(0, rank - 1), st.integers(-9, 9), max_size=3).map(
+        lambda terms: [terms.get(i, 0) for i in range(rank)])
+    return st.one_of(sparse, dense).map(tuple)
+
+
+def dense_product(table, a, b):
+    """Sum over every (i, j) of a_i * b_j * table[i][j], zeros included."""
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            for t, c in table[i][j]:
+                out[t] += x * y * c
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+@settings(max_examples=25)
+@given(data=st.data())
+def test_product_matches_dense_contraction(name, data):
+    ring, make = RINGS[name]
+    rank = len(ring().labels)
+    a, b = data.draw(_factors(rank)), data.draw(_factors(rank))
+    assert (make(a) * make(b)).coeffs == dense_product(ring().table, a, b)
+

@@ -6,6 +6,7 @@ set.  The certifier concerned must catch it and name its witness.
 """
 
 import dataclasses
+import functools
 import json
 import re
 
@@ -231,3 +232,93 @@ def test_cyclotomic_defect_witness_names_the_value(plant):
         ("<d_1,d_3>", "inner product 4/16 is not an integer"),
         ("<d_3,d_1>", "inner product 4/16 is not an integer"),
         ("<d_3,d_3>", "inner product 12/16 is not an integer")]
+
+
+# k = 16: d_2*d_6 = d_8 + d_4 and eta2*d_4 = d_12, each planted on one side only
+@pytest.mark.parametrize("i,j", [(5, 9), (2, 7)])
+def test_rep_table_defect_fails_at_that_pair_n6(plant, i, j):
+    params = GroupParams(6)
+    plant(repring._ring(6), i, j)
+    labels = repring.basis_labels(params)
+    failures = repring.verify_structure_constants(params).failures()
+    assert [(c.name, c.witness) for c in failures] == [
+        (f"{labels[i]}*{labels[j]}",
+         f"table gives {repring.basis_elements(params)[i] * repring.basis_elements(params)[j]}")]
+
+
+def dense_gram_checks(table):
+    """(passed, detail) of every ordered Gram entry, by the dense inner_product."""
+    out = []
+    for i, f in enumerate(table):
+        for j, g in enumerate(table):
+            try:
+                value = repring.inner_product(f, g)
+                out.append((value == (1 if i == j else 0), f"value {value}"))
+            except ValueError as exc:
+                out.append((False, str(exc)))
+    return out
+
+
+# zeta * zeta^3 = zeta^4 at k = 16, planted on that side only.  The 16 failing
+# pairs are not closed under transposition, so a Gram matrix taken as
+# Hermitian, or products taken in the other order, would be caught.
+def test_cyclotomic_defect_fails_orthogonality_n6(plant):
+    params = GroupParams(6)
+    plant(intmath._ring(16), 1, 3)
+    table = repring.character_table(params)
+    checks = repring.verify_orthogonality(params).checks
+    assert [(c.passed, c.detail) for c in checks] == dense_gram_checks(table)
+    failures = [c for c in checks if not c.passed]
+    names = [c.name for c in failures]
+    assert len(names) == 16 and "<d_1,d_3>" in names and "<d_3,d_1>" not in names
+    assert all(c.witness for c in failures)
+    # the structure constants multiply chi_i(g) * chi_j(g) in that order too
+    basis = repring.basis_elements(params)
+    verdicts = [repring.character_of(a * b) == fa.pointwise(fb)
+                for a, fa in zip(basis, table) for b, fb in zip(basis, table)]
+    checks = repring.verify_structure_constants(params).checks
+    assert [c.passed for c in checks] == verdicts and not all(verdicts)
+
+
+# ring, pair (i, j) with a nonzero product, constructor from coefficients
+ONE_SIDED = {
+    "R": (lambda: repring._ring(4), (4, 5), lambda cs: repring.RepElement(GroupParams(4), cs)),
+    "K": (lambda: kring._ring(4), (3, 4), lambda cs: kring.KElement(4, *cs[:3], cs[3:])),
+    "lens": (lambda: lens._ring(4), (1, 2), lambda cs: lens.LensElement(4, cs)),
+    "Z[zeta]": (lambda: intmath._ring(8), (1, 2), lambda cs: intmath.CyclotomicInt(8, cs)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_SIDED))
+def test_one_sided_table_defect_breaks_commutativity(plant, name):
+    ring, (i, j), make = ONE_SIDED[name]
+    rank = len(ring().labels)
+    b_i, b_j = (make(tuple(int(t == s) for t in range(rank))) for s in (i, j))
+    assert b_i * b_j == b_j * b_i
+    plant(ring(), i, j)
+    assert b_i * b_j != b_j * b_i
+    assert (b_i * b_j - b_j * b_i).coeffs[ring().table[i][j][0][0]] == 1
+
+
+def test_non_real_character_value_gives_conjugate_witnesses(monkeypatch, fresh_caches):
+    # d_1 on the class of x is z - z^3 at k = 4; planted as z, it is not
+    # real, so <d_1, chi> and <chi, d_1> have conjugate totals: each ordered
+    # pair must be summed on its own
+    params = GroupParams(4)
+    true_table = repring._character_table
+    values = list(true_table(4)[4].values)
+    values[2] = intmath.CyclotomicInt.root_power(4, 1)
+    table = list(true_table(4))
+    table[4] = repring.ClassFunction(params, tuple(values))
+    monkeypatch.setattr(repring, "_character_table",
+                        functools.lru_cache(lambda n: tuple(table) if n == 4 else true_table(n)))
+    # the cached nonzero terms are read from the planted table only here
+    repring._character_terms.cache_clear()
+    try:
+        checks = repring.verify_orthogonality(params).checks
+    finally:
+        repring._character_terms.cache_clear()
+    assert [(c.passed, c.detail) for c in checks] == dense_gram_checks(table)
+    by_name = {c.name: c.witness for c in checks}
+    assert by_name["<d_1,eta1>"] == "2*z^3 is not a rational integer"
+    assert by_name["<eta1,d_1>"] == "-2*z is not a rational integer"

@@ -176,3 +176,78 @@ def test_str():
     assert str(el(P4, one=1, eta1=-4, d={2: 1})) == "1 - 4*eta1 + d_2"
     assert str(zero(P3)) == "0"
     assert basis_labels(P4) == ["1", "eta1", "eta2", "eta3", "d_1", "d_2", "d_3"]
+
+
+# --- the sparse oracle against the outside view and dense references -------
+
+def _virtual_pair(n):
+    return st.tuples(_rep_elements(n), _rep_elements(n))
+
+
+@settings(max_examples=20)
+@given(st.sampled_from([3, 4, 5, 6]), st.data())
+def test_inner_product_of_characters_is_coefficient_dot(n, data):
+    # orthonormality of the irreducible characters, seen from outside
+    a, b = data.draw(_virtual_pair(n))
+    assert inner_product(character_of(a), character_of(b)) == sum(
+        x * y for x, y in zip(a.coeffs, b.coeffs))
+
+
+@settings(max_examples=20)
+@given(st.sampled_from([3, 4, 5, 6]), st.data())
+def test_character_of_product_is_pointwise(n, data):
+    a, b = data.draw(_virtual_pair(n))
+    assert character_of(a * b) == character_of(a).pointwise(character_of(b))
+
+
+def _negacyclic_product(x, y):
+    """x * y in Z[t]/(t^k + 1), on plain coefficient tuples."""
+    k = len(x)
+    out = [0] * k
+    for a, xa in enumerate(x):
+        for b, yb in enumerate(y):
+            e = a + b
+            if e < k:
+                out[e] += xa * yb
+            else:
+                out[e - k] -= xa * yb
+    return out
+
+
+def _dense_gram_check(params, f, g):
+    """(passed, detail) of <f, g> = delta, computed densely with no Z[zeta]
+    table: conj(zeta^e) = -zeta^(k-e), and products are negacyclic."""
+    k, order = params.k, params.group_order
+    total = [0] * k
+    for size, x, y in zip(class_sizes(params), f.values, g.values):
+        y = y.coeffs
+        conj = [y[0]] + [-y[k - e] for e in range(1, k)]
+        for t, c in enumerate(_negacyclic_product(x.coeffs, conj)):
+            total[t] += size * c
+    if any(total[1:]):
+        return False, f"{CyclotomicInt(k, total)} is not a rational integer"
+    value, r = divmod(total[0], order)
+    if r:
+        return False, (f"inner product {total[0]}/{order} is not an integer; "
+                       "the class function is not a virtual character")
+    return value == (1 if f is g else 0), f"value {value}"
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_gram_entries_match_dense_reference(n):
+    params = GroupParams(n)
+    table = character_table(params)
+    expected = [_dense_gram_check(params, f, g) for f in table for g in table]
+    checks = verify_orthogonality(params).checks
+    assert [(c.passed, c.detail) for c in checks] == expected
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_structure_verdicts_match_dense_reference(n):
+    params = GroupParams(n)
+    table = character_table(params)
+    expected = [character_of(a * b) == fa.pointwise(fb)
+                for a, fa in zip(basis_elements(params), table)
+                for b, fb in zip(basis_elements(params), table)]
+    checks = verify_structure_constants(params).checks
+    assert [c.passed for c in checks] == expected

@@ -95,7 +95,9 @@ class Element:
         return out
 
     def _check(self, other: "Element"):
-        if self.ring != other.ring:
+        # operands nearly always share one cached descriptor; the identity
+        # test skips the generated dataclass comparison
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError(f"mismatched parameters: {self.ring.name} vs {other.ring.name}")
 
     def __add__(self, other: "Element") -> "Element":

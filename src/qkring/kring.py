@@ -32,12 +32,18 @@ and 6.
 
 Correctness is certified against R(Q_{4k}): the basis-change matrix of the
 embedding is unimodular and normal-form multiplication commutes with the
-embedding on all basis pairs.  Minimality is certified by ideal
-non-membership: each presentation relation r has a degree D and an exponent
-e for which r is outside I + m^(D+1) + 2^e*Z[v1, v2, phi], where I is the
-ideal of the other four relations and m = (v1, v2, phi).  That is a
-question about one integer lattice in the monomials of degree <= D, and a
-nonzero residue of r against its Hermite basis is the certificate.
+embedding on all basis pairs.  The R side of phi^a * phi^b is read off the
+power chain of phi's image, which equals the product of the two images
+because R's table is associative: the structure-constant and orthogonality
+checks of repring prove the character map an injective ring homomorphism,
+and ``verify_embedding`` run without them assumes it.
+
+Minimality is certified by ideal non-membership: each presentation relation
+r has a degree D and an exponent e for which r is outside
+I + m^(D+1) + 2^e*Z[v1, v2, phi], where I is the ideal of the other four
+relations and m = (v1, v2, phi).  That is a question about one integer
+lattice in the monomials of degree <= D, and a nonzero residue of r against
+its Hermite basis is the certificate.
 """
 
 from __future__ import annotations
@@ -667,24 +673,44 @@ def _embedding_witness(prod: KElement, lhs: RepElement, rhs: RepElement) -> str:
     return f"K gives {prod}; coefficient of {label}: {x} embedded, {y} in R"
 
 
-def verify_embedding(n: int) -> Report:
-    """Unimodular basis change plus the commuting square
-    embed(a *_nf b) = embed(a) * embed(b) over all normal-form basis pairs."""
-    _, unimodular = basis_change_matrix(n)
-    checks = [Check("basis_change_unimodular", unimodular)]
+def _embedding_square(n: int):
+    """(i, j, K product, its image, R product of the images) for each
+    ordered pair of basis indices, in order."""
     basis = nf_basis(n)
-    labels = nf_basis_labels(n)
     images = [embed_to_R(b) for b in basis]
-    # R's table is commutative by construction, so each R product serves
-    # both orders; the K side is computed for every ordered pair.
-    products = {(i, j): images[i] * images[j]
+    power = _embedding(n)._power
+    # index t >= 3 is phi^(t-2), so i >= 4 (with j >= i) is phi^a * phi^b
+    # with a, b >= 2.  R's table is commutative by construction, so each R
+    # product serves both orders.
+    products = {(i, j): power(2, i + j - 4) if i >= 4 else images[i] * images[j]
                 for i in range(len(basis)) for j in range(i, len(basis))}
+    embed = lru_cache(maxsize=None)(embed_to_R)
     for i, a in enumerate(basis):
         for j, b in enumerate(basis):
             prod = multiply_nf(a, b)
-            lhs = embed_to_R(prod)
-            rhs = products[min(i, j), max(i, j)]
-            ok = lhs == rhs
-            checks.append(Check(f"embed({labels[i]}*{labels[j]})", ok,
-                                "" if ok else _embedding_witness(prod, lhs, rhs)))
+            yield i, j, prod, embed(prod), products[min(i, j), max(i, j)]
+
+
+def verify_embedding(n: int) -> Report:
+    """Unimodular basis change plus the commuting square
+    embed(a *_nf b) = embed(a) * embed(b) over all normal-form basis pairs.
+
+    The R side of phi^a * phi^b with a, b >= 2 is phi's image to the power
+    a + b, read off the cached power chain (each step a product with the
+    sparse image of phi), which also gives embed(phi^a) and embed(phi^b).
+    It equals embed(phi^a) * embed(phi^b) because R's table is associative:
+    ``repring.verify_structure_constants`` and ``verify_orthogonality``
+    together prove the character map an injective ring homomorphism into
+    class functions under the pointwise product.  Called on its own, this
+    check assumes them.  Every other pair has a sparse factor (the image of
+    1, v1, v2 or phi) and is multiplied literally.  The K side is computed
+    for every ordered pair, and each distinct product is embedded once.
+    """
+    _, unimodular = basis_change_matrix(n)
+    checks = [Check("basis_change_unimodular", unimodular)]
+    labels = nf_basis_labels(n)
+    for i, j, prod, lhs, rhs in _embedding_square(n):
+        ok = lhs == rhs
+        checks.append(Check(f"embed({labels[i]}*{labels[j]})", ok,
+                            "" if ok else _embedding_witness(prod, lhs, rhs)))
     return Report(f"presentation certificate, n={n}", tuple(checks))

@@ -1,10 +1,15 @@
-"""The shared product kernel against a dense contraction of each ring's table."""
+"""The shared product kernel against a dense contraction of each ring's table,
+and its check that both operands belong to one ring."""
+
+import dataclasses
+import operator
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkring import intmath, kring, lens, repring
+from qkring.freemodule import Element
 from qkring.intmath import CyclotomicInt
 from qkring.kring import KElement
 from qkring.lens import LensElement
@@ -46,3 +51,18 @@ def test_product_matches_dense_contraction(name, data):
     a, b = data.draw(_factors(rank)), data.draw(_factors(rank))
     assert (make(a) * make(b)).coeffs == dense_product(ring().table, a, b)
 
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_mismatched_rings_rejected(op):
+    a, b = repring.one(GroupParams(4)), repring.one(GroupParams(5))
+    with pytest.raises(ValueError, match=r"^mismatched parameters: R\(Q_16\) vs R\(Q_32\)$"):
+        op(a, b)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_equal_rings_need_not_be_one_object(op):
+    # descriptors are equal by name, so a rebuilt one is still accepted
+    a = repring.one(GroupParams(4))
+    twin = Element(dataclasses.replace(a.ring), a.coeffs)
+    assert twin.ring is not a.ring and twin.ring == a.ring
+    assert op(a, twin).coeffs == op(a, a).coeffs

@@ -102,6 +102,29 @@ def test_embedding_commutes_with_product(n):
             assert embed_to_R(multiply_nf(a, b)) == multiply(ia, ib)
 
 
+def all_pairs_square(n):
+    """The square as computed before the power-chain route: a dense product
+    of two images for every unordered pair, and a fresh embedding of every
+    K product."""
+    basis = nf_basis(n)
+    images = [embed_to_R(b) for b in basis]
+    products = {(i, j): images[i] * images[j]
+                for i in range(len(basis)) for j in range(i, len(basis))}
+    out = []
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            prod = multiply_nf(a, b)
+            out.append((i, j, prod, embed_to_R(prod), products[min(i, j), max(i, j)]))
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_embedding_square_matches_all_pairs_reference(n):
+    reference = all_pairs_square(n)
+    assert len(reference) == GroupParams(n).basis_size ** 2
+    assert list(kring._embedding_square(n)) == reference
+
+
 @pytest.mark.parametrize("n,size", [(3, 5), (4, 7), (6, 19)])
 def test_basis_change_unimodular(n, size):
     matrix, unimodular = basis_change_matrix(n)

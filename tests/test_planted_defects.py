@@ -88,6 +88,40 @@ def test_k_table_defect_fails_at_that_pair(plant, capsys, i, j, detail):
     assert not any("detail" in c for c in checks if c["passed"])
 
 
+def test_k_table_defect_fails_at_a_power_chain_pair(plant, capsys):
+    # (4, 5) is phi^2*phi^3 at n=4, whose R side is read off the power chain
+    # of phi's image; b_5 * b_4 keeps the true entry
+    plant(kring._ring(4), 4, 5)
+    name, detail = "embed(phi^2*phi^3)", (
+        "K gives -10*phi^4 - 34*phi^3 - 44*phi^2 - 15*phi; "
+        "coefficient of 1: -144 embedded, -142 in R")
+    failures = kring.verify_embedding(4).failures()
+    assert [(c.name, c.witness) for c in failures] == [(name, detail)]
+    assert cli.main(["verify", "--n", "4", "--suite", "oracle", "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c for c in checks if not c["passed"]] == [
+        {"name": name, "passed": False, "detail": detail}]
+
+
+def test_rep_table_defect_read_by_the_power_chain_fails_the_oracle(plant, capsys):
+    # At n=4, phi^3 has a d_3 term, so phi^4 = phi^3 * phi reads d_3*d_1.
+    # Both sides of embed(phi^2*phi^2) come from that chain, so the square
+    # alone cannot see the entry: it rests on the associativity that the
+    # structure constants of the same suite certify, and they name the pair.
+    kring._embedding.cache_clear()
+    kring._basis_columns.cache_clear()
+    true_phi4 = kring._embedding(4)._power(2, 4)
+    kring._embedding.cache_clear()
+    plant(repring._ring(4), 6, 4)
+    assert cli.main(["verify", "--n", "4", "--suite", "oracle", "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert kring._embedding(4)._power(2, 4) != true_phi4
+    by_name = {c["name"]: c for c in checks}
+    assert by_name["embed(phi^2*phi^2)"]["passed"]
+    assert [c for c in checks if not c["passed"] and not c["name"].startswith("embed(")] == [
+        {"name": "d_3*d_1", "passed": False, "detail": "table gives 2*eta2 + eta3 + d_2"}]
+
+
 # phi operator column 1 is phi*v1 = -2*v1 (relation 4); column 4 at k = 2 is
 # phi*phi^2 = -8*phi - 6*phi^2 (the phi^3 rule), used by phi^3 and phi^4
 @pytest.mark.parametrize("column,names", [

@@ -18,8 +18,8 @@ closed series.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
+from math import gcd
 
 from .intmath import IntPoly, binomial
 
@@ -66,16 +66,24 @@ class PhiPoly(IntPoly):
         return super().format(var)
 
 
+def _integral(num: int, den: int, what: str) -> int:
+    """num / den (den > 0), which must be an integer; otherwise ArithmeticError
+    names ``what`` and the quotient in lowest terms."""
+    q, r = divmod(num, den)
+    if r:
+        g = gcd(num, den)
+        raise ArithmeticError(f"{what} is {num // g}/{den // g}, not an integer")
+    return q
+
+
 def psi_series(i: int) -> PhiPoly:
     """psi^i from the closed binomial series; every coefficient must be integral."""
     if i < 1:
         raise ValueError("psi^i requires i >= 1")
     coeffs = []
     for j in range(1, i + 1):
-        q = Fraction(binomial(i, j) * binomial(i + j - 1, j), binomial(2 * j - 1, j))
-        if q.denominator != 1:
-            raise ArithmeticError(f"psi^{i}: coefficient of w^{j} is {q}, not an integer")
-        coeffs.append(int(q))
+        coeffs.append(_integral(binomial(i, j) * binomial(i + j - 1, j),
+                                binomial(2 * j - 1, j), f"psi^{i}: coefficient of w^{j}"))
     return PhiPoly.of(*coeffs)
 
 
@@ -115,10 +123,8 @@ def g_poly(k: int) -> PhiPoly:
     coeffs = [0] * (k + 1)
     coeffs[0] = 4 * k
     for j in range(2, k + 1):
-        q = Fraction(2 * k * k + j - 1, (j - 1) * (2 * j - 1)) * binomial(k + j - 2, 2 * j - 3)
-        if q.denominator != 1:
-            raise ArithmeticError(f"g_{2*k}: coefficient of phi^{j} is {q}, not an integer")
-        coeffs[j - 1] = int(q)
+        coeffs[j - 1] = _integral((2 * k * k + j - 1) * binomial(k + j - 2, 2 * j - 3),
+                                  (j - 1) * (2 * j - 1), f"g_{2*k}: coefficient of phi^{j}")
     coeffs[k] = 1
     return PhiPoly.of(*coeffs)
 

@@ -4,6 +4,14 @@ Exit codes: 0 on success (or all checks passing), 1 when a verification
 fails or a table cell mismatches, 2 on usage errors.  ``--format json``
 emits a single JSON document on stdout; text mode prints one result per
 line.  Output ordering is fixed so golden tests stay stable.
+
+Each verb imports only the modules it runs, inside its handler, and looks
+names up on those module objects when it runs: ``order`` and ``table`` load
+truncation (with intmatrix and repring), ``adams`` and ``g`` load adams,
+``cohomology`` and ``consistency`` load cohomology, ``present`` loads kring
+and repring, and ``verify`` loads every module but cohomology and
+truncation.  A process started for one verb so compiles no code it does
+not run.
 """
 
 from __future__ import annotations
@@ -12,7 +20,6 @@ import argparse
 import json
 import sys
 
-from . import adams, cohomology, kring, lens, repring, truncation
 from .report import Check, Report, merge
 
 SUITES = ("relations", "oracle", "redundancy", "minimality", "restriction",
@@ -28,6 +35,8 @@ def _emit(args, payload: dict, text_lines):
 
 
 def _cmd_present(args) -> int:
+    from . import kring, repring
+
     rset = kring.relations_for(args.n)
     params = repring.GroupParams(args.n)
     lines = [
@@ -50,6 +59,8 @@ def _cmd_present(args) -> int:
 
 
 def _run_suite(n: int, suite: str) -> Report:
+    from . import adams, kring, lens, repring
+
     params = repring.GroupParams(n)
     parts = []
     if suite in ("relations", "all"):
@@ -92,6 +103,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_order(args) -> int:
+    from . import truncation
+
     cell = truncation.TableCell(args.n, args.N,
                                 truncation.phi_order(args.n, args.N),
                                 2 ** (args.n + 2 * args.N))
@@ -106,6 +119,8 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from . import truncation
+
     cells = truncation.corollary2_table(args.n_max, args.N_max)
     all_match = all(c.match for c in cells)
     header = "n\\N " + "".join(f"{N:>8}" for N in range(args.N_max + 1))
@@ -123,6 +138,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_adams(args) -> int:
+    from . import adams
+
     poly = adams.psi_series(args.i)
     _emit(args, {"i": args.i, "poly": poly.to_pairs()},
           [f"psi^{args.i} = {poly}"])
@@ -130,6 +147,8 @@ def _cmd_adams(args) -> int:
 
 
 def _cmd_g(args) -> int:
+    from . import adams
+
     poly = adams.g_poly(args.k)
     _emit(args, {"k": args.k, "poly": poly.to_pairs()},
           [f"g_{2 * args.k} = {poly}"])
@@ -137,6 +156,8 @@ def _cmd_g(args) -> int:
 
 
 def _cmd_cohomology(args) -> int:
+    from . import cohomology
+
     group = cohomology.h_group(args.p, args.k)
     _emit(args, {"p": args.p, "k": args.k, "group": str(group),
                  "factors": list(group.factors)},
@@ -145,6 +166,8 @@ def _cmd_cohomology(args) -> int:
 
 
 def _cmd_consistency(args) -> int:
+    from . import cohomology
+
     report = cohomology.consistency_report(args.n, args.N)
     _emit(args, report.to_json(), report.lines())
     return 0 if report.phi_match else 1

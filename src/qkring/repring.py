@@ -329,36 +329,75 @@ def verify_structure_constants(params: GroupParams) -> Report:
 
     Class by class, sum over t of N_ij^t * chi_t(g), from the product
     b_i * b_j as R computes it, is compared with the ``CyclotomicInt``
-    product chi_i(g) * chi_j(g), both as {exponent: coefficient} over
-    nonzero terms; a pair stops at its first differing class.  Each product
-    of a distinct pair of values is computed once: 4,325 products serve the
-    300,763 class comparisons at n = 8.
+    product chi_i(g) * chi_j(g).  Each Z[zeta] value is compared as one
+    integer, sum of c * 2^(B*e) over its terms c * zeta^e; the encoding is
+    linear, so the left side is the same combination of the encoded
+    character values.  The width B is read off the R and Z[zeta] tables
+    (``_code_width``), so that every coefficient on either side lies
+    strictly between -2^(B-1) and 2^(B-1), where two encodings are equal
+    only if the coefficient vectors are.  Each product of a distinct pair of
+    values is computed once: 4,325 products serve the 300,763 class
+    comparisons at n = 8.
     """
     table = character_table(params)
     terms, _ = _character_terms(params.n)
+    width = _code_width(params, terms)
+
+    def code(pairs):
+        return sum(c << (width * e) for e, c in pairs if c)
+
+    codes = [[code(value) for value in chi] for chi in terms]
+    # ids[i][g] numbers the distinct values; pointwise[x][y] codes value x * value y
+    distinct = {}
+    ids = [[distinct.setdefault(value, len(distinct)) for value in chi] for chi in terms]
+    values = [None] * len(distinct)
+    for chi, chi_ids in zip(table, ids):
+        for value, x in zip(chi.values, chi_ids):
+            values[x] = value
+    pointwise = [[None] * len(values) for _ in values]
+    for column in zip(*ids):
+        for x in set(column):
+            for y in set(column):
+                if pointwise[x][y] is None:
+                    pointwise[x][y] = code(enumerate((values[x] * values[y]).coeffs))
     basis = basis_elements(params)
     labels = basis_labels(params)
-    pointwise = {}  # (terms of x, terms of y) -> nonzero terms of x * y
     checks = []
-    for i, (a, fa) in enumerate(zip(basis, table)):
-        for j, (b, fb) in enumerate(zip(basis, table)):
+    for i, a in enumerate(basis):
+        rows = [pointwise[x] for x in ids[i]]
+        for j, b in enumerate(basis):
             product = multiply(a, b)
-            support = [(terms[t], c) for t, c in enumerate(product.coeffs) if c]
-            ok = True
-            for g, (x, y) in enumerate(zip(fa.values, fb.values)):
-                key = terms[i][g], terms[j][g]
-                if key not in pointwise:
-                    pointwise[key] = {e: c for e, c in enumerate((x * y).coeffs) if c}
-                combined = {}
-                for chi_t, c in support:
-                    for e, v in chi_t[g]:
-                        combined[e] = combined.get(e, 0) + c * v
-                if {e: c for e, c in combined.items() if c} != pointwise[key]:
-                    ok = False
-                    break
+            combined = [0] * len(rows)
+            for t, c in enumerate(product.coeffs):
+                if c:
+                    combined = [s + c * v for s, v in zip(combined, codes[t])]
+            ok = combined == [row[y] for row, y in zip(rows, ids[j])]
             checks.append(Check(f"{labels[i]}*{labels[j]}", ok,
                                 "" if ok else f"table gives {product}"))
     return Report(f"structure constants, n={params.n}", tuple(checks))
+
+
+def _code_width(params: GroupParams, terms) -> int:
+    """Bit width B of the integer code of a Z[zeta] value in
+    ``verify_structure_constants``.
+
+    A coefficient of sum over t of N_ij^t * chi_t(g) is at most S * M in
+    size, where S is the largest sum of |N_ij^t| over an entry of R's table
+    (b_i * b_j is that entry) and M the largest character coefficient.  A
+    coefficient of chi_i(g) * chi_j(g) is at most L^2 * Z, where L is the
+    largest sum of |coefficients| of a character value and Z the largest
+    such sum over an entry of the Z[zeta] table.  B = 1 + the bit length of
+    the larger bound.
+    """
+    def largest_sum(ring_table):
+        return max(sum(abs(c) for _, c in entry) for row in ring_table for entry in row)
+
+    values = [value for chi in terms for value in chi]
+    s = largest_sum(_ring(params.n).table)
+    z = largest_sum(intmath._ring(params.k).table)
+    m = max(abs(c) for value in values for _, c in value)
+    norm = max(sum(abs(c) for _, c in value) for value in values)
+    return max(s * m, norm * norm * z).bit_length() + 1
 
 
 def verify_orthogonality(params: GroupParams) -> Report:

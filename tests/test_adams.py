@@ -151,3 +151,20 @@ def test_psi_oracles_walk_matches_composed_chebyshev():
     for i in range(1, 41):
         composed = chebyshev_t(i).compose(IntPoly.of(2, 1)) - IntPoly.of(2)
         assert next(walk) == PhiPoly.from_intpoly(composed) == psi_oracle(i)
+
+
+def test_non_integral_coefficients_raise_in_lowest_terms(monkeypatch):
+    # with C(1, 1) read as 8, psi^2 has coefficient 2 * 2 / 8 on w; with every
+    # binomial read as 1, g_8 has (2*16 + 2) / (2 * 5) on phi^3
+    from qkring import adams
+
+    true_binomial = adams.binomial
+    monkeypatch.setattr(adams, "binomial", lambda a, b: 8 if (a, b) == (1, 1)
+                        else true_binomial(a, b))
+    with pytest.raises(ArithmeticError, match=r"^psi\^2: coefficient of w\^1 is 1/2, "
+                                              r"not an integer$"):
+        adams.psi_series(2)
+    monkeypatch.setattr(adams, "binomial", lambda a, b: 1)
+    with pytest.raises(ArithmeticError, match=r"^g_8: coefficient of phi\^3 is 17/5, "
+                                              r"not an integer$"):
+        adams.g_poly(4)

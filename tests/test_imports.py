@@ -1,0 +1,107 @@
+"""The import graph: ``import qkring`` loads no submodule, and each CLI verb
+loads exactly the modules it runs.
+
+Each case starts a fresh interpreter, so modules that earlier tests
+imported do not count.  A new top-level import that pulls in another
+module fails here and names that module.
+"""
+
+import importlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qkring
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# the package's exports, by home module
+EXPORTS = {
+    "adams": ["PhiPoly", "compose_check", "g_poly", "psi_oracle", "psi_oracles",
+              "psi_series", "verify_g_identity"],
+    "cohomology": ["CohGroup", "consistency_report", "h_group", "predicted_reduced_order"],
+    "intmath": ["CyclotomicInt", "IntPoly", "binomial", "chebyshev_t", "two_adic_valuation"],
+    "intmatrix": ["SmithForm", "determinant", "hermite_basis_mod", "smith_normal_form"],
+    "kring": ["KElement", "MinimalityCertificate", "RelationSet", "basis_change_matrix",
+              "embed_to_R", "minimality_certificates", "minimality_check", "multiply_nf",
+              "reduce", "relations_for", "verify_embedding", "verify_local_confluence",
+              "verify_minimality_witness", "verify_relation3_redundant",
+              "verify_relations_in_R"],
+    "lens": ["LensElement", "eta_power", "lens_multiply", "restrict",
+             "restriction_hom_check", "verify_relations_vanish", "verify_restriction_hom",
+             "w_element"],
+    "repring": ["ClassFunction", "GroupParams", "RepElement", "canonical_d", "character_of",
+                "character_table", "decompose", "inner_product", "multiply", "phi_element",
+                "verify_structure_constants"],
+    "truncation": ["TruncatedQuotient", "corollary2_table", "order_of", "phi_order",
+                   "torsion_order", "truncated_quotient"],
+}
+
+TRUNCATION = {"cli", "freemodule", "intmath", "intmatrix", "report", "repring", "truncation"}
+ADAMS = {"adams", "cli", "freemodule", "intmath", "report"}
+KRING = {"adams", "cli", "freemodule", "intmath", "intmatrix", "kring", "report", "repring"}
+VERBS = [
+    (["order", "--n", "4", "--N", "1"], TRUNCATION),
+    (["table", "--n-max", "4", "--N-max", "1"], TRUNCATION),
+    (["adams", "--i", "3"], ADAMS),
+    (["g", "--k", "2"], ADAMS),
+    (["verify", "--n", "3", "--suite", "all"], KRING | {"lens"}),
+    (["cohomology", "--p", "4", "--k", "4"], TRUNCATION | {"cohomology"}),
+    (["consistency", "--n", "3", "--N", "0"], TRUNCATION | {"cohomology"}),
+    (["present", "--n", "3"], KRING),
+]
+
+
+def loaded_after(code: str) -> set:
+    """Names of the qkring submodules loaded after running ``code`` in a
+    fresh interpreter; ``code`` must send its output to stderr."""
+    probe = (f"{code}\nimport json, sys\n"
+             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('qkring.'))))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={"PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"},
+                         check=True).stdout
+    return {name.removeprefix("qkring.") for name in json.loads(out)}
+
+
+def test_import_loads_no_submodule():
+    assert loaded_after("import qkring") == set()
+
+
+@pytest.mark.parametrize("argv,expected", VERBS, ids=[argv[0] for argv, _ in VERBS])
+def test_each_verb_loads_only_its_modules(argv, expected):
+    code = ("import contextlib, sys\nfrom qkring.cli import main\n"
+            f"with contextlib.redirect_stdout(sys.stderr):\n    assert main({argv!r}) == 0")
+    loaded = loaded_after(code)
+    assert not loaded - expected, f"{argv[0]} also loads {sorted(loaded - expected)}"
+    assert not expected - loaded, f"{argv[0]} no longer loads {sorted(expected - loaded)}"
+
+
+def test_all_lists_every_export():
+    names = sorted(name for names in EXPORTS.values() for name in names)
+    assert len(names) == 60
+    assert sorted(qkring.__all__) == names
+    assert set(names) <= set(dir(qkring))
+
+
+@pytest.mark.parametrize("module_name", sorted(EXPORTS))
+def test_each_export_is_its_modules_object(module_name):
+    module = importlib.import_module(f"qkring.{module_name}")
+    for name in EXPORTS[module_name]:
+        exec(f"from qkring import {name} as imported", scope := {})
+        assert getattr(qkring, name) is getattr(module, name) is scope["imported"], name
+
+
+def test_star_import_binds_all_and_only_all():
+    exec("from qkring import *", scope := {})
+    assert set(scope) - {"__builtins__"} == set(qkring.__all__)
+
+
+def test_submodules_are_attributes_and_unknown_names_are_not():
+    assert qkring.kring is importlib.import_module("qkring.kring")
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        qkring.no_such_name
+    with pytest.raises(ImportError):
+        exec("from qkring import no_such_name", {})

@@ -314,6 +314,26 @@ def test_cyclotomic_defect_fails_orthogonality_n6(plant):
     assert [c.passed for c in checks] == verdicts and not all(verdicts)
 
 
+def test_structure_verdicts_hold_when_a_defect_matches_the_true_code_width(
+        monkeypatch, fresh_caches):
+    # zeta * zeta planted as 2^B * zeta at k = 4: at the width B that the true
+    # tables give, its code equals that of zeta^2, so the codes must widen
+    # with the Z[zeta] table for the verdicts to stay the dense reference's
+    params = GroupParams(4)
+    width = repring._code_width(params, repring._character_terms(4)[0])
+    ring = intmath._ring(4)
+    table = [list(row) for row in ring.table]
+    assert table[1][1] == ((2, 1),)
+    table[1][1] = ((1, 2 ** width),)
+    monkeypatch.setitem(vars(ring), "table", table)
+    characters = repring.character_table(params)
+    basis = repring.basis_elements(params)
+    verdicts = [repring.character_of(a * b) == fa.pointwise(fb)
+                for a, fa in zip(basis, characters) for b, fb in zip(basis, characters)]
+    checks = repring.verify_structure_constants(params).checks
+    assert [c.passed for c in checks] == verdicts and not all(verdicts)
+
+
 # ring, pair (i, j) with a nonzero product, constructor from coefficients
 ONE_SIDED = {
     "R": (lambda: repring._ring(4), (4, 5), lambda cs: repring.RepElement(GroupParams(4), cs)),

@@ -17,14 +17,12 @@ closed series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from math import gcd
 
 from .intmath import IntPoly, binomial
 
 
-@dataclass(frozen=True)
 class PhiPoly(IntPoly):
     """Integer polynomial in phi with zero constant term; coeffs[j] goes with
     phi^j, so coeffs[0] is always 0 (or coeffs is empty).
@@ -33,8 +31,10 @@ class PhiPoly(IntPoly):
     IntPoly's; they return PhiPoly, and this class only checks the constant.
     """
 
-    def __post_init__(self):
-        super().__post_init__()
+    __slots__ = ()
+
+    def __init__(self, coeffs=()):
+        super().__init__(coeffs)
         if self.coeff(0):
             raise ArithmeticError(f"nonzero constant term {self.coeff(0)}")
 

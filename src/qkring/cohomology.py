@@ -1,29 +1,33 @@
-"""Integral cohomology of BQ_{4k} and order bookkeeping against K-theory.
+"""Integral cohomology of BQ_{4k}, and the order identity it gives for the
+truncated rings.
 
 The table is 4-periodic above degree 0:
 
     H^0 = Z,  H^(4s+2) = Z_2 + Z_2,  H^(4s) = Z_{4k} (s >= 1),  H^odd = 0.
 
-Because the odd groups vanish, the relevant spectral sequence degenerates
-and only group orders matter, so this module never builds it: it just
-multiplies table entries and compares them with the truncated-ring
-computations.  The comparisons are informational; the one hard expectation
-is the order of phi.
+By Atiyah, K^0(S^(4M+3)/Q_{4k}) = R(Q_{4k}) / (phi^(M+1)): the sphere is
+S((M+1) d_1), and lambda_{-1}(d_1) = 2 - d_1 = -phi because Q_{4k} lies in
+SU(2).  The space's cohomology is that of BQ_{4k} below its top degree
+4M+3, where the odd groups vanish, and the top class Z receives no nonzero
+differential from torsion.  So the Atiyah-Hirzebruch spectral sequence
+collapses, and the reduced K^0 has order prod |H^(2j)| over
+2 <= 2j <= 4M+2.  The truncation of index N, R/phi^(N+2) R, is the case
+M = N+1, so its torsion order must equal the product through degree 4N+6.
+``consistency_report`` checks that identity, which tests the lattice index
+D, and the order of phi.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .report import Record
 from .repring import GroupParams, phi_element
 from .truncation import order_of, pow2_str, torsion_order, truncated_quotient
 
 
-@dataclass(frozen=True)
-class CohGroup:
+class CohGroup(Record):
     """Finitely generated abelian group as a tuple of cyclic orders (0 = Z)."""
 
-    factors: tuple
+    __slots__ = ("factors",)
 
     def __post_init__(self):
         if any(f < 0 for f in self.factors):
@@ -61,7 +65,8 @@ def h_group(p: int, k: int) -> CohGroup:
 
 
 def predicted_reduced_order(N: int, k: int) -> int:
-    """Product of |H^(2j)| over even degrees 2 <= 2j <= 4N+2.
+    """Product of |H^(2j)| over even degrees 2 <= 2j <= 4N+2, the order of
+    the reduced K^0(S^(4N+3)/Q_{4k}).
 
     Closed form 4^(N+1) * (4k)^N; computed here from the table itself.
     """
@@ -73,40 +78,34 @@ def predicted_reduced_order(N: int, k: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    n: int
-    N: int
-    phi_order: int
-    phi_expected: int
-    torsion: int
-    predicted: int  # cohomology product through degree 4N+2
-    predicted_next: int  # same product one truncation level up
+class ConsistencyReport(Record):
+    """order(phi) in R/phi^(N+2) R against 2^(n+2N), and the torsion order of
+    that quotient against the cohomology product through degree 4N+6."""
+
+    __slots__ = ("n", "N", "phi_order", "phi_expected", "torsion",
+                 "predicted")  # product of |H^(2j)| over 2 <= 2j <= 4N+6
 
     @property
     def phi_match(self) -> bool:
         return self.phi_order == self.phi_expected
 
     @property
-    def torsion_matches_predicted(self) -> bool:
+    def torsion_match(self) -> bool:
         return self.torsion == self.predicted
 
     @property
-    def torsion_matches_next(self) -> bool:
-        return self.torsion == self.predicted_next
+    def passed(self) -> bool:
+        return self.phi_match and self.torsion_match
 
     def lines(self):
-        out = [
+        return [
             f"order(phi): computed {pow2_str(self.phi_order)}, "
             f"expected 2^(n+2N) = {pow2_str(self.phi_expected)}, "
             f"match: {'yes' if self.phi_match else 'NO'}",
             f"reduced torsion of the truncation: {self.torsion}",
-            f"cohomology product through degree {4 * self.N + 2}: {self.predicted}"
-            f" ({'match' if self.torsion_matches_predicted else 'mismatch'}, informational)",
-            f"cohomology product one level up: {self.predicted_next}"
-            f" ({'match' if self.torsion_matches_next else 'mismatch'}, informational)",
+            f"cohomology product through degree {4 * self.N + 6}: {self.predicted}, "
+            f"match: {'yes' if self.torsion_match else 'NO'}",
         ]
-        return out
 
     def to_json(self) -> dict:
         return {
@@ -116,15 +115,15 @@ class ConsistencyReport:
             "phi_expected": pow2_str(self.phi_expected),
             "phi_match": self.phi_match,
             "torsion": str(self.torsion),
-            "predicted_reduced": str(self.predicted),
-            "torsion_matches_predicted": self.torsion_matches_predicted,
-            "predicted_reduced_next": str(self.predicted_next),
-            "torsion_matches_next": self.torsion_matches_next,
+            "cohomology_degree": 4 * self.N + 6,
+            "cohomology_product": str(self.predicted),
+            "torsion_match": self.torsion_match,
         }
 
 
 def consistency_report(n: int, N: int) -> ConsistencyReport:
-    """Compare truncated-ring sizes against the cohomology bookkeeping."""
+    """Check the truncated ring of index N against 2^(n+2N) and against the
+    cohomology of S^(4N+7)/Q_{4k}, the space whose K^0 it is."""
     params = GroupParams(n)
     q = truncated_quotient(n, N)
     return ConsistencyReport(
@@ -133,6 +132,5 @@ def consistency_report(n: int, N: int) -> ConsistencyReport:
         phi_order=order_of(phi_element(params), q),
         phi_expected=2 ** (n + 2 * N),
         torsion=torsion_order(q),
-        predicted=predicted_reduced_order(N, params.k),
-        predicted_next=predicted_reduced_order(N + 1, params.k),
+        predicted=predicted_reduced_order(N + 1, params.k),
     )

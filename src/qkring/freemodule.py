@@ -9,9 +9,10 @@ the first product that needs it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
+
+from .report import Record
 
 
 def format_terms(terms) -> str:
@@ -39,20 +40,18 @@ def format_terms(terms) -> str:
     return "".join(out) if out else "0"
 
 
-@dataclass(frozen=True)
-class Ring:
+class Ring(Record):
     """Basis labels and lazily built structure constants of one ring.
 
     Descriptors are equal when their names are ("R(Q_16)", parameter
     included).  ``param`` is what the element classes expose; basis element
     0 is the unit.  ``build()`` returns ``table``: ``table[i][j]`` holds the
-    pairs ``(t, c)`` with b_i * b_j = sum of c * b_t.
+    pairs ``(t, c)`` with b_i * b_j = sum of c * b_t; it is cached in the
+    instance ``__dict__``.
     """
 
-    name: str
-    param: object = field(compare=False, repr=False)
-    labels: tuple = field(compare=False, repr=False)
-    build: object = field(compare=False, repr=False)
+    __slots__ = ("name", "param", "labels", "build", "__dict__")
+    _compared = ("name",)
 
     @cached_property
     def table(self):
@@ -73,19 +72,17 @@ def commutative_table(rank: int, product):
     return table
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(Record):
     """Immutable integer vector over the basis of ``ring``."""
 
     __slots__ = ("ring", "coeffs")
-    ring: Ring
-    coeffs: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if len(self.coeffs) != len(self.ring.labels):
-            raise ValueError(
-                f"expected {len(self.ring.labels)} coefficients, got {len(self.coeffs)}")
+    def __init__(self, ring: Ring, coeffs):
+        coeffs = tuple(coeffs)
+        if len(coeffs) != len(ring.labels):
+            raise ValueError(f"expected {len(ring.labels)} coefficients, got {len(coeffs)}")
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def _new(self, coeffs):
         """An element of the same class and ring; skips the subclass constructor."""
@@ -96,7 +93,7 @@ class Element:
 
     def _check(self, other: "Element"):
         # operands nearly always share one cached descriptor; the identity
-        # test skips the generated dataclass comparison
+        # test skips the name comparison
         if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError(f"mismatched parameters: {self.ring.name} vs {other.ring.name}")
 

@@ -8,11 +8,11 @@ pure and exact; no floats anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
 from .freemodule import Element, Ring, format_terms
+from .report import Record
 
 
 def binomial(n: int, r: int) -> int:
@@ -39,14 +39,13 @@ def _trim(coeffs) -> tuple:
     return coeffs[:end]
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(Record):
     """Dense integer polynomial; coeffs[i] is the coefficient of x**i."""
 
-    coeffs: tuple = ()
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trim(self.coeffs))
+    def __init__(self, coeffs=()):
+        object.__setattr__(self, "coeffs", _trim(coeffs))
 
     @classmethod
     def of(cls, *coeffs: int) -> "IntPoly":

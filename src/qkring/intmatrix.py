@@ -11,7 +11,7 @@ CLI grid (n <= 10, N <= 16) the entries of D, U and V then stay under 64 bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .report import Record
 
 
 def identity_matrix(n: int):
@@ -110,13 +110,14 @@ def hermite_basis_mod(rows, modulus: int):
     return H
 
 
-@dataclass
-class SmithForm:
-    """U * M * V = D with U, V unimodular and D diagonal with d_1 | d_2 | ..."""
+class SmithForm(Record):
+    """U * M * V = D with U, V unimodular and D diagonal with d_1 | d_2 | ...
 
-    D: list
-    U: list
-    V: list
+    Unlike the other records it is mutable, and so unhashable.
+    """
+
+    __slots__ = ("D", "U", "V")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
     @property
     def diagonal(self):

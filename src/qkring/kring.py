@@ -48,7 +48,6 @@ its Hermite basis is the certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import prod
 from operator import mul
@@ -56,7 +55,7 @@ from operator import mul
 from .adams import PhiPoly, g_poly, psi_series
 from .freemodule import Element, Ring, commutative_table, format_terms
 from .intmatrix import determinant, hermite_basis_mod
-from .report import Check, Report
+from .report import Check, Record, Report
 from .repring import GroupParams, RepElement, canonical_d, eta1, eta2, one, phi_element
 
 Mono = tuple  # (a, b, c) exponents of v1, v2, phi
@@ -126,11 +125,10 @@ def fp_format(fp: dict) -> str:
 # relation set
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Relation:
-    label: str
-    lhs: tuple  # ((mono, coeff), ...)
-    rhs: tuple
+class Relation(Record):
+    __slots__ = ("label",
+                 "lhs",  # ((mono, coeff), ...)
+                 "rhs")
 
     def lhs_fp(self) -> dict:
         return dict(self.lhs)
@@ -145,23 +143,20 @@ class Relation:
         return f"{fp_format(self.lhs_fp())} = {fp_format(self.rhs_fp())}"
 
 
-@dataclass(frozen=True)
-class Rule:
-    label: str
-    pattern: Mono
-    rhs: tuple  # ((mono, coeff), ...)
+class Rule(Record):
+    __slots__ = ("label",
+                 "pattern",  # Mono
+                 "rhs")  # ((mono, coeff), ...)
 
     def applies_to(self, mono: Mono) -> bool:
         return all(m >= p for m, p in zip(mono, self.pattern))
 
 
-@dataclass(frozen=True)
-class RelationSet:
-    n: int
-    k: int
-    relations: tuple  # presentation Relations 1, 2, 4, 5, 6
-    relation3: Relation  # derived: g_{2k}(phi) = 0
-    rules: tuple  # oriented rewrite rules, priority order
+class RelationSet(Record):
+    __slots__ = ("n", "k",
+                 "relations",  # presentation Relations 1, 2, 4, 5, 6
+                 "relation3",  # derived: g_{2k}(phi) = 0
+                 "rules")  # oriented rewrite rules, priority order
 
     def relation(self, label: str) -> Relation:
         for r in self.relations:
@@ -545,8 +540,7 @@ def verify_relation3_redundant(n: int) -> bool:
 MINIMALITY_DEGREES = (1, 2, 3)
 
 
-@dataclass(frozen=True)
-class MinimalityCertificate:
+class MinimalityCertificate(Record):
     """Proof that presentation relation ``label`` is not in the ideal I of
     the other four.
 
@@ -556,10 +550,7 @@ class MinimalityCertificate:
     nonzero, so the relation lies outside that larger ideal, hence outside I.
     """
 
-    label: str
-    degree: int
-    exponent: int
-    residue: dict
+    __slots__ = ("label", "degree", "exponent", "residue")
 
     def __str__(self) -> str:
         return (f"{self.label}: D={self.degree}, e={self.exponent}, "

@@ -1,15 +1,83 @@
-"""Pass/fail reports shared by the verification suites."""
+"""Pass/fail reports shared by the verification suites, and ``Record``, the
+immutable value base of the package's data classes.
+
+``Record`` lives here because every CLI verb imports this module first.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import attrgetter
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    passed: bool
-    detail: str = ""
+class Record:
+    """Immutable value whose fields are the public names in the ``__slots__``
+    of its class and bases, in order.
+
+    The constructor takes the fields by position or keyword; a field given
+    neither way takes its value from ``_defaults``, and ``__post_init__``
+    then checks them (it may normalise one with ``object.__setattr__``).
+    Equality holds only between instances of one class.  Equality, hash and
+    repr read the fields named in ``_compared``, or every field when it is
+    empty.  Assignment and deletion raise AttributeError.
+    """
+
+    __slots__ = ()
+    _fields = ()
+    _defaults = {}
+    _compared = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for base in reversed(cls.__mro__)
+                            for name in vars(base).get("__slots__", ())
+                            if not name.startswith("_"))
+        cls._key = attrgetter(*(cls._compared or cls._fields))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        if (len(args) > len(fields) or values.keys() != set(fields)
+                or not kwargs.keys().isdisjoint(fields[:len(args)])):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
+        for name in fields:
+            object.__setattr__(self, name, values[name])
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def replace(self, **changes):
+        """A copy with ``changes`` applied, built (and checked) by the constructor."""
+        return type(self)(**{**{name: getattr(self, name) for name in self._fields},
+                             **changes})
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._compared or self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Check(Record):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
     @classmethod
     def vanishes(cls, name: str, residue) -> "Check":
@@ -22,10 +90,9 @@ class Check:
         return "" if self.passed else self.detail
 
 
-@dataclass(frozen=True)
-class Report:
-    title: str
-    checks: tuple = field(default_factory=tuple)
+class Report(Record):
+    __slots__ = ("title", "checks")
+    _defaults = {"checks": ()}
 
     @property
     def all_passed(self) -> bool:

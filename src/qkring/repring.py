@@ -29,23 +29,21 @@ wherever a product is taken in that order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from . import intmath
 from .freemodule import Element, Ring, commutative_table
 from .intmath import CyclotomicInt
-from .report import Check, Report
+from .report import Check, Record, Report
 
 # basis layout: index 0..3 = 1, eta1, eta2, eta3; index 3+i = d_i
 ONE, ETA1, ETA2, ETA3 = 0, 1, 2, 3
 
 
-@dataclass(frozen=True)
-class GroupParams:
+class GroupParams(Record):
     """Size data for Q_{2^n}: k = 2^(n-2), m = 2k, group order 4k."""
 
-    n: int
+    __slots__ = ("n",)
 
     def __post_init__(self):
         if self.n < 3:
@@ -214,12 +212,10 @@ def multiply(a: RepElement, b: RepElement) -> RepElement:
 # [y], [xy], with sizes 1, 1, 2, ..., 2, k, k.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassFunction:
+class ClassFunction(Record):
     """Cyclotomic-valued class function, indexed by the frozen class order."""
 
-    params: GroupParams
-    values: tuple
+    __slots__ = ("params", "values")
 
     def pointwise(self, other: "ClassFunction") -> "ClassFunction":
         return ClassFunction(self.params,

@@ -1,10 +1,11 @@
 """Element orders in the truncated rings R(Q_{4k}) / phi^(N+2) R(Q_{4k}).
 
-The parameter N indexes the sphere quotient S^(4N+3)/Q_{4k}: its K-ring is
-modeled by the quotient in which the powers phi, ..., phi^(N+1) survive and
-phi^(N+2) is killed.  (Quotienting by phi^(N+1) instead would make phi
-itself vanish at N = 0; the N = 0 column must reproduce the order 4k of phi
-in R/phi^2 R.)
+In the quotient of index N the powers phi, ..., phi^(N+1) survive and
+phi^(N+2) is killed, so the N = 0 column reproduces the order 4k of phi in
+R/phi^2 R, and the order of phi is 2^(n+2N).  By Atiyah's theorem,
+K^0(S^(4M+3)/Q_{4k}) = R(Q_{4k}) / (phi^(M+1)), so the quotient of index N
+is K^0(S^(4N+7)/Q_{4k}); ``cohomology`` checks its torsion order against
+that space's cohomology.
 
 The ideal is encoded as the integer lattice spanned by phi^(N+2) * b over
 the k+3 basis elements b.  Every such row has dimension 0, because phi
@@ -20,20 +21,18 @@ where those of the raw lattice reached hundreds of thousands of bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 
-from .intmatrix import SmithForm, determinant, hermite_basis_mod, smith_normal_form
+from .intmatrix import determinant, hermite_basis_mod, smith_normal_form
+from .report import Record
 from .repring import GroupParams, RepElement, basis_elements, phi_element
 
 
-@dataclass(frozen=True)
-class TruncatedQuotient:
-    params: GroupParams
-    N: int
-    lattice: tuple  # rows: phi^(N+2) * b in irreducible-basis coordinates
-    basis: tuple  # reduced Hermite basis of the lattice in coordinates 1..k+2
-    snf: SmithForm  # of ``basis``
+class TruncatedQuotient(Record):
+    __slots__ = ("params", "N",
+                 "lattice",  # rows: phi^(N+2) * b in irreducible-basis coordinates
+                 "basis",  # reduced Hermite basis of the lattice in coordinates 1..k+2
+                 "snf")  # SmithForm of ``basis``
 
     @property
     def size(self) -> int:
@@ -94,12 +93,8 @@ def torsion_order(q: TruncatedQuotient) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class TableCell:
-    n: int
-    N: int
-    order: int
-    expected: int
+class TableCell(Record):
+    __slots__ = ("n", "N", "order", "expected")
 
     @property
     def match(self) -> bool:

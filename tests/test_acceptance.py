@@ -103,13 +103,12 @@ def test_criterion_10_consistency_reports():
     for n in range(3, 7):
         for N in range(2):
             report = cohomology.consistency_report(n, N)
-            ok = ok and report.phi_match
+            ok = ok and report.phi_match and report.torsion_match
             print(f"  consistency (n={n}, N={N}): torsion {report.torsion} vs "
-                  f"cohomology product {report.predicted} "
-                  f"({'match' if report.torsion_matches_predicted else 'informational mismatch'};"
-                  f" next level {report.predicted_next})")
-    _criterion(10, "exact-identity suites plus informational order comparisons in place of "
-                   "the completed ring", ok)
+                  f"cohomology product through degree {4 * N + 6} {report.predicted} "
+                  f"({'match' if report.torsion_match else 'MISMATCH'})")
+    _criterion(10, "exact-identity suites plus the order identities of the truncated "
+                   "rings in place of the completed ring", ok)
 
 
 if __name__ == "__main__":

@@ -59,14 +59,22 @@ def test_consistency_phi_order_matches(n, N):
     assert report.phi_expected == 2 ** (n + 2 * N)
 
 
-def test_consistency_torsion_is_informational():
-    # the truncation carries one more diagonal's worth of torsion than the
-    # cohomology product through degree 4N+2; both numbers are reported
+def test_consistency_torsion_is_the_product_through_degree_4N_plus_6():
+    # R/phi^(N+2) R is K^0(S^(4N+7)/Q_{4k}), whose reduced part has the order
+    # of the cohomology product through degree 4N+6
     report = consistency_report(3, 0)
     assert report.torsion == 128
-    assert report.predicted == 4
-    assert not report.torsion_matches_predicted
-    assert report.torsion_matches_next
+    assert report.predicted == predicted_reduced_order(1, 2) == 128
+    assert report.torsion_match and report.passed
+    assert report.lines()[2] == "cohomology product through degree 6: 128, match: yes"
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_consistency_torsion_matches_on_every_N(n):
+    for N in range(8):
+        report = consistency_report(n, N)
+        assert report.torsion == report.predicted == 2 ** (2 * (N + 2) + n * (N + 1)), N
+        assert report.passed
 
 
 def test_consistency_report_output():

@@ -1,7 +1,6 @@
 """The shared product kernel against a dense contraction of each ring's table,
 and its check that both operands belong to one ring."""
 
-import dataclasses
 import operator
 
 import pytest
@@ -63,6 +62,18 @@ def test_mismatched_rings_rejected(op):
 def test_equal_rings_need_not_be_one_object(op):
     # descriptors are equal by name, so a rebuilt one is still accepted
     a = repring.one(GroupParams(4))
-    twin = Element(dataclasses.replace(a.ring), a.coeffs)
+    twin = Element(a.ring.replace(), a.coeffs)
     assert twin.ring is not a.ring and twin.ring == a.ring
     assert op(a, twin).coeffs == op(a, a).coeffs
+
+
+def test_record_replace_rebuilds_through_the_constructor():
+    params = GroupParams(4)
+    assert params.replace(n=5) == GroupParams(5)
+    assert params.replace() == params and params.replace() is not params
+    with pytest.raises(ValueError, match=r"^quaternion groups need n >= 3$"):
+        params.replace(n=2)
+    with pytest.raises(TypeError):
+        params.replace(m=5)
+    a = repring.one(params)
+    assert Element(a.ring, a.coeffs).replace(coeffs=[0] * 7) == Element(a.ring, (0,) * 7)

@@ -1,5 +1,6 @@
-"""The import graph: ``import qkring`` loads no submodule, and each CLI verb
-loads exactly the modules it runs.
+"""The import graph: ``import qkring`` loads no submodule, each CLI verb
+loads exactly the modules it runs, and no qkring process loads
+``dataclasses`` or ``inspect``.
 
 Each case starts a fresh interpreter, so modules that earlier tests
 imported do not count.  A new top-level import that pulls in another
@@ -55,28 +56,44 @@ VERBS = [
 ]
 
 
-def loaded_after(code: str) -> set:
-    """Names of the qkring submodules loaded after running ``code`` in a
-    fresh interpreter; ``code`` must send its output to stderr."""
+# standard-library modules that cost a process milliseconds to import and
+# that no qkring code needs (dataclasses alone pulls in inspect, ast and dis)
+UNWANTED = {"dataclasses", "inspect"}
+
+
+def loaded_after(code: str) -> tuple:
+    """Names of the qkring submodules, and of the UNWANTED modules, loaded
+    after running ``code`` in a fresh interpreter; ``code`` must send its
+    output to stderr."""
     probe = (f"{code}\nimport json, sys\n"
-             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('qkring.'))))")
+             "print(json.dumps(sorted(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env={"PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"},
                          check=True).stdout
-    return {name.removeprefix("qkring.") for name in json.loads(out)}
+    modules = set(json.loads(out))
+    return ({name.removeprefix("qkring.") for name in modules if name.startswith("qkring.")},
+            UNWANTED & modules)
 
 
 def test_import_loads_no_submodule():
-    assert loaded_after("import qkring") == set()
+    assert loaded_after("import qkring") == (set(), set())
+
+
+def test_presentation_operation_import_loads_no_unwanted_module():
+    # a benchmark presentation operation imports these two modules directly
+    loaded, unwanted = loaded_after("import qkring.kring, qkring.lens")
+    assert "kring" in loaded and "lens" in loaded
+    assert not unwanted, f"import qkring.kring, qkring.lens also loads {sorted(unwanted)}"
 
 
 @pytest.mark.parametrize("argv,expected", VERBS, ids=[argv[0] for argv, _ in VERBS])
 def test_each_verb_loads_only_its_modules(argv, expected):
     code = ("import contextlib, sys\nfrom qkring.cli import main\n"
             f"with contextlib.redirect_stdout(sys.stderr):\n    assert main({argv!r}) == 0")
-    loaded = loaded_after(code)
+    loaded, unwanted = loaded_after(code)
     assert not loaded - expected, f"{argv[0]} also loads {sorted(loaded - expected)}"
     assert not expected - loaded, f"{argv[0]} no longer loads {sorted(expected - loaded)}"
+    assert not unwanted, f"{argv[0]} also loads {sorted(unwanted)}"
 
 
 def test_all_lists_every_export():

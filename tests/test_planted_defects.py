@@ -5,14 +5,13 @@ ring's table or of the multiplication-by-phi operator, or a changed relation
 set.  The certifier concerned must catch it and name its witness.
 """
 
-import dataclasses
 import functools
 import json
 import re
 
 import pytest
 
-from qkring import cli, intmath, kring, lens, repring
+from qkring import cli, cohomology, intmath, kring, lens, repring, truncation
 from qkring.repring import GroupParams
 
 
@@ -45,8 +44,7 @@ def patch_relations(monkeypatch, n, **changes):
     ``changes`` applied, each a function of the true set."""
     true_relations = kring.relations_for
     rset = true_relations(n)
-    planted = dataclasses.replace(rset, **{name: change(rset)
-                                          for name, change in changes.items()})
+    planted = rset.replace(**{name: change(rset) for name, change in changes.items()})
     monkeypatch.setattr(kring, "relations_for",
                         lambda m: planted if m == n else true_relations(m))
 
@@ -145,7 +143,7 @@ def test_phi_operator_defect_fails_embedding(monkeypatch, fresh_caches, column, 
 
 def test_k_table_rejects_a_right_side_outside_the_basis(monkeypatch):
     patch_relations(monkeypatch, 3, rules=lambda r: tuple(
-        dataclasses.replace(rule, rhs=(((1, 1, 0), 1),)) if rule.label == "relation5"
+        rule.replace(rhs=(((1, 1, 0), 1),)) if rule.label == "relation5"
         else rule for rule in r.rules))
     with pytest.raises(ArithmeticError,
                        match=r"right side of relation5 leaves the normal-form basis at v1\*v2"):
@@ -166,7 +164,7 @@ def test_appended_relation3_fails_minimality(monkeypatch, capsys):
 def test_confluence_defect_names_the_differing_normal_forms(monkeypatch, capsys):
     # relation 1 planted as v1^2 = -3*v1: v1^2*v2 then reduces two ways
     patch_relations(monkeypatch, 3, rules=lambda r: tuple(
-        dataclasses.replace(rule, rhs=(((1, 0, 0), -3),)) if rule.label == "relation1"
+        rule.replace(rhs=(((1, 0, 0), -3),)) if rule.label == "relation1"
         else rule for rule in r.rules))
     detail = ("relation1 gives -3*phi^2 - 12*phi + 6*v1 + 6*v2, "
               "relation6 gives -2*phi^2 - 8*phi + 6*v1 + 4*v2")
@@ -376,3 +374,21 @@ def test_non_real_character_value_gives_conjugate_witnesses(monkeypatch, fresh_c
     by_name = {c.name: c.witness for c in checks}
     assert by_name["<d_1,eta1>"] == "2*z^3 is not a rational integer"
     assert by_name["<eta1,d_1>"] == "-2*z is not a rational integer"
+
+
+def test_doubled_lattice_row_fails_the_torsion_identity(monkeypatch, capsys):
+    # phi^2 * d_2 planted as twice itself at n=4: the order of phi does not
+    # change, so only the torsion identity sees the doubled lattice index
+    true_basis = truncation.basis_elements
+    monkeypatch.setattr(truncation, "basis_elements", lambda params: [
+        2 * b if i == 5 else b for i, b in enumerate(true_basis(params))])
+    report = cohomology.consistency_report(4, 0)
+    assert report.phi_match and not report.torsion_match
+    assert cli.main(["consistency", "--n", "4", "--N", "0"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "reduced torsion of the truncation: 512",
+        "cohomology product through degree 6: 256, match: NO"]
+    assert cli.main(["consistency", "--n", "4", "--N", "0", "--format", "json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert (data["torsion"], data["cohomology_product"], data["torsion_match"]) == (
+        "512", "256", False)

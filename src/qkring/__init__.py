@@ -13,10 +13,10 @@ import importlib
 __version__ = "0.1.0"
 
 _MODULES = {
-    "adams": ("PhiPoly", "compose_check", "g_poly", "psi_oracle", "psi_oracles",
-              "psi_series", "verify_g_identity"),
+    "adams": ("PhiPoly", "g_poly", "psi_oracle", "psi_oracles", "psi_series",
+              "verify_g_identity"),
     "cohomology": ("CohGroup", "consistency_report", "h_group", "predicted_reduced_order"),
-    "intmath": ("CyclotomicInt", "IntPoly", "binomial", "chebyshev_t", "two_adic_valuation"),
+    "intmath": ("CyclotomicInt", "IntPoly", "binomial", "chebyshev_t"),
     "intmatrix": ("SmithForm", "determinant", "hermite_basis_mod", "smith_normal_form"),
     "kring": ("KElement", "MinimalityCertificate", "RelationSet", "basis_change_matrix",
               "embed_to_R", "minimality_certificates", "minimality_check", "multiply_nf",

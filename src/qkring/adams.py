@@ -51,17 +51,6 @@ class PhiPoly(IntPoly):
         """[[exponent, coefficient-as-decimal-string], ...], ascending."""
         return [[j, str(c)] for j, c in enumerate(self.coeffs) if c]
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "PhiPoly":
-        coeffs = {}
-        for exp, text in pairs:
-            exp = int(exp)
-            if exp < 1:
-                raise ValueError("phi-polynomials have no constant term")
-            coeffs[exp] = int(text)
-        top = max(coeffs, default=0)
-        return cls(tuple(coeffs.get(j, 0) for j in range(top + 1)))
-
     def format(self, var: str = "phi") -> str:
         return super().format(var)
 
@@ -133,13 +122,3 @@ def verify_g_identity(k: int) -> bool:
     """g_{2k} == psi^(k+1) - psi^(k-1), exactly."""
     return g_poly(k) == psi_series(k + 1) - psi_series(k - 1)
 
-
-def compose_check(i: int, j: int, degree_bound: int | None = None) -> bool:
-    """psi^i(psi^j) == psi^(i*j), compared up to degree_bound (full if None)."""
-    if i < 1 or j < 1:
-        raise ValueError("Adams degrees must be >= 1")
-    lhs = psi_series(i).compose(psi_series(j))
-    rhs = psi_series(i * j)
-    if degree_bound is None:
-        return lhs == rhs
-    return all(lhs.coeff(d) == rhs.coeff(d) for d in range(1, degree_bound + 1))

@@ -69,11 +69,17 @@ def _run_suite(n: int, suite: str) -> Report:
         parts.append(repring.verify_structure_constants(params))
         parts.append(repring.verify_orthogonality(params))
         k = params.k
-        psi_ok = all(adams.psi_series(i) == oracle
-                     for i, oracle in zip(range(1, 2 * k + 2), adams.psi_oracles()))
+        # a failure shows the first i where the series and the oracle differ
+        psi_split = next((f"psi^{i}: series {series}, oracle {oracle}" for i, oracle
+                          in zip(range(1, 2 * k + 2), adams.psi_oracles())
+                          if (series := adams.psi_series(i)) != oracle), "")
+        g_ok = adams.verify_g_identity(k)
+        g_diff = "" if g_ok else (adams.g_poly(k) - adams.psi_series(k + 1)
+                                  + adams.psi_series(k - 1))
         parts.append(Report("adams oracle", (
-            Check(f"psi_series = psi_oracle for i <= {2 * k + 1}", psi_ok),
-            Check(f"g_{2 * k} = psi^{k + 1} - psi^{k - 1}", adams.verify_g_identity(k)),
+            Check(f"psi_series = psi_oracle for i <= {2 * k + 1}", not psi_split, psi_split),
+            Check(f"g_{2 * k} = psi^{k + 1} - psi^{k - 1}", g_ok,
+                  f"g_{2 * k} - psi^{k + 1} + psi^{k - 1} = {g_diff}"),
         )))
         parts.append(kring.verify_embedding(n))
     if suite in ("redundancy", "all"):
@@ -232,9 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _validate(args) -> str | None:
     # values outside these bounds exit with 2; the library itself is unbounded.
-    # The largest runs inside them, one run each on a 2-core Xeon VM with
-    # Python 3.11.7: the whole grid, table --n-max 10 --N-max 16, 62 s at
-    # 54 MB peak RSS, and verify --n 10 --suite all 113 s at 368 MB.
+    # The largest runs inside them, two runs each on a 2-core Xeon VM with
+    # Python 3.11.7: the whole grid, table --n-max 10 --N-max 16, 60-61 s at
+    # 24 MB peak RSS, and verify --n 10 --suite all 120-123 s at 366 MB.
     checks = [
         ("n", lambda v: 3 <= v <= 10, "--n must be in [3, 10]"),
         ("N", lambda v: 0 <= v <= 16, "--N must be in [0, 16]"),

@@ -60,15 +60,12 @@ class Ring(Record):
 
 def commutative_table(rank: int, product):
     """Sparse table of a commutative product; ``product(i, j)`` gives the
-    coefficient vector of b_i * b_j and is asked only for i <= j.  Equal
-    products share one entry."""
+    entry of b_i * b_j, its pairs (t, c) in increasing t with c nonzero, and
+    is asked only for i <= j.  Entries (j, i) and (i, j) are one object."""
     table = [[()] * rank for _ in range(rank)]
-    entries = {}
     for i in range(rank):
         for j in range(i, rank):
-            vector = tuple(product(i, j))
-            entry = tuple((t, c) for t, c in enumerate(vector) if c)
-            table[i][j] = table[j][i] = entries.setdefault(vector, entry)
+            table[i][j] = table[j][i] = product(i, j)
     return table
 
 

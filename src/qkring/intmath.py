@@ -1,6 +1,6 @@
 """Exact integer arithmetic substrate.
 
-Binomial coefficients, 2-adic valuations, the Chebyshev-style recurrence
+Binomial coefficients, the Chebyshev-style recurrence
 t_0 = 2, t_1 = c, t_{i+1} = c*t_i - t_{i-1} (so that t_i(z + 1/z) = z^i + z^-i),
 and cyclotomic integers for a power-of-two root of unity.  Everything is
 pure and exact; no floats anywhere.
@@ -22,13 +22,6 @@ def binomial(n: int, r: int) -> int:
     if r < 0 or r > n:
         return 0
     return comb(n, r)
-
-
-def two_adic_valuation(n: int) -> int:
-    """Largest e such that 2**e divides n.  n must be nonzero."""
-    if n == 0:
-        raise ValueError("2-adic valuation of 0 is infinite")
-    return (n & -n).bit_length() - 1
 
 
 def _trim(coeffs) -> tuple:

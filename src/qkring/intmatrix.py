@@ -37,7 +37,12 @@ def mat_mul(A, B):
 
 
 def determinant(A) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    Row i is left as it is at step t when its multiplier M[i][t] is 0 and
+    the pivot equals the previous one, because (x*p - 0*y) // p is x.  A
+    row with a zero multiplier under a new pivot is still rescaled.
+    """
     n = len(A)
     if any(len(r) != n for r in A):
         raise ValueError("determinant requires a square matrix")
@@ -53,11 +58,14 @@ def determinant(A) -> int:
                     break
             else:
                 return 0
+        pivot = M[t][t]
         for i in range(t + 1, n):
+            if M[i][t] == 0 and pivot == prev:
+                continue
             for j in range(t + 1, n):
-                M[i][j] = (M[i][j] * M[t][t] - M[i][t] * M[t][j]) // prev
+                M[i][j] = (M[i][j] * pivot - M[i][t] * M[t][j]) // prev
             M[i][t] = 0
-        prev = M[t][t]
+        prev = pivot
     return sign * M[n - 1][n - 1]
 
 

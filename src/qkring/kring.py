@@ -269,41 +269,15 @@ class KElement(Element):
 
     __slots__ = ()
 
-    def __init__(self, n: int, c0: int, a1: int, a2: int, phi):
-        super().__init__(_ring(n), (c0, a1, a2) + tuple(phi))
+    def __init__(self, n: int, coeffs):
+        super().__init__(_ring(n), coeffs)
 
     @property
     def n(self) -> int:
         return self.ring.param
 
-    @property
-    def c0(self) -> int:
-        return self.coeffs[0]
-
-    @property
-    def a1(self) -> int:
-        return self.coeffs[1]
-
-    @property
-    def a2(self) -> int:
-        return self.coeffs[2]
-
-    @property
-    def phi(self) -> tuple:
-        """Coefficients of phi^1, ..., phi^k."""
-        return self.coeffs[3:]
-
     def to_fp(self) -> dict:
-        return {mono: c for mono, c in zip(_basis_monos(len(self.phi)), self.coeffs) if c}
-
-    def to_json_dict(self) -> dict:
-        return {"c0": str(self.c0), "v1": str(self.a1), "v2": str(self.a2),
-                "phi": [str(c) for c in self.phi]}
-
-    @classmethod
-    def from_json_dict(cls, n: int, data: dict) -> "KElement":
-        return cls(n, int(data["c0"]), int(data["v1"]), int(data["v2"]),
-                   tuple(int(c) for c in data["phi"]))
+        return {mono: c for mono, c in zip(_basis_monos(len(self.coeffs) - 3), self.coeffs) if c}
 
     def __str__(self) -> str:
         return fp_format(self.to_fp())
@@ -366,9 +340,12 @@ def _table(n: int):
             out.append(vector)
         return out
 
-    # basis index t >= 3 is phi^(t-2)
-    chains = (chain(0, 2 * k), chain(1, k), chain(2, k))
-    squares = {(1, 1): rhs["relation1"], (1, 2): rhs["relation6"], (2, 2): rhs["relation2"]}
+    # basis index t >= 3 is phi^(t-2); each vector is made sparse once, so
+    # the many products phi^i * phi^j that share a chain element share its entry
+    chains = [[_sparse(vector) for vector in chain(start, length)]
+              for start, length in ((0, 2 * k), (1, k), (2, k))]
+    squares = {(1, 1): _sparse(rhs["relation1"]), (1, 2): _sparse(rhs["relation6"]),
+               (2, 2): _sparse(rhs["relation2"])}
 
     def product(i: int, j: int):  # i <= j
         if j < 3:
@@ -380,37 +357,9 @@ def _table(n: int):
     return commutative_table(k + 3, product)
 
 
-def _k_basis(n: int, idx: int) -> KElement:
-    coeffs = [0] * GroupParams(n).basis_size
-    coeffs[idx] = 1
-    return KElement(n, *coeffs[:3], coeffs[3:])
-
-
-def k_zero(n: int) -> KElement:
-    return KElement(n, 0, 0, 0, (0,) * GroupParams(n).k)
-
-
-def k_one(n: int) -> KElement:
-    return _k_basis(n, 0)
-
-
-def k_v1(n: int) -> KElement:
-    return _k_basis(n, 1)
-
-
-def k_v2(n: int) -> KElement:
-    return _k_basis(n, 2)
-
-
-def k_phi_power(n: int, j: int) -> KElement:
-    k = GroupParams(n).k
-    if not 1 <= j <= k:
-        raise ValueError(f"phi^{j} is not a basis element for k={k}")
-    return _k_basis(n, 2 + j)
-
-
 def nf_basis(n: int):
-    return [_k_basis(n, i) for i in range(GroupParams(n).basis_size)]
+    size = GroupParams(n).basis_size
+    return [KElement(n, (int(t == i) for t in range(size))) for i in range(size)]
 
 
 def nf_basis_labels(n: int):
@@ -421,8 +370,8 @@ def nf_basis_labels(n: int):
 def reduce(expr: dict, n: int) -> KElement:
     """Full normal form of a formal polynomial in v1, v2, phi."""
     rset = relations_for(n)
-    coeffs = _coefficients(rewrite(expr, rset), rset.k, "stuck monomial {} survived reduction")
-    return KElement(n, *coeffs[:3], coeffs[3:])
+    return KElement(n, _coefficients(rewrite(expr, rset), rset.k,
+                                     "stuck monomial {} survived reduction"))
 
 
 def multiply_nf(a: KElement, b: KElement) -> KElement:
@@ -488,6 +437,13 @@ def embed_to_R(elem: KElement) -> RepElement:
                                             for column in _basis_columns(elem.n)))
 
 
+def _basis_change_determinant(n: int) -> int:
+    """Determinant of the basis-change matrix, taken of its transpose: with
+    the row of eta3 moved last, that is upper triangular with unit pivots,
+    so Bareiss elimination only swaps the eta3 row down and skips the rest."""
+    return determinant([list(column) for column in _basis_columns(n)])
+
+
 def basis_change_matrix(n: int):
     """Rows: embeddings of 1, v1, v2, phi, ..., phi^k in the irreducible basis.
 
@@ -495,7 +451,7 @@ def basis_change_matrix(n: int):
     ring is additively isomorphic to R(Q_{4k}).
     """
     rows = [list(row) for row in zip(*_basis_columns(n))]
-    return rows, abs(determinant(rows)) == 1
+    return rows, abs(_basis_change_determinant(n)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -697,8 +653,8 @@ def verify_embedding(n: int) -> Report:
     1, v1, v2 or phi) and is multiplied literally.  The K side is computed
     for every ordered pair, and each distinct product is embedded once.
     """
-    _, unimodular = basis_change_matrix(n)
-    checks = [Check("basis_change_unimodular", unimodular)]
+    det = _basis_change_determinant(n)
+    checks = [Check("basis_change_unimodular", abs(det) == 1, f"determinant {det}")]
     labels = nf_basis_labels(n)
     for i, j, prod, lhs, rhs in _embedding_square(n):
         ok = lhs == rhs

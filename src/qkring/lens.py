@@ -32,13 +32,6 @@ class LensElement(Element):
     def k(self) -> int:
         return self.ring.param
 
-    def to_json_dict(self) -> dict:
-        return {"k": self.k, "coeffs": [str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "LensElement":
-        return cls(int(data["k"]), tuple(int(c) for c in data["coeffs"]))
-
 
 @lru_cache(maxsize=None)
 def _ring(k: int) -> Ring:

@@ -86,37 +86,9 @@ class RepElement(Element):
         """Value of the character at the identity (virtual dimension)."""
         return sum(c * d for c, d in zip(self.coeffs, _dims(self.params)))
 
-    def to_json_dict(self) -> dict:
-        out = {}
-        names = ("one", "eta1", "eta2", "eta3")
-        for idx, name in enumerate(names):
-            if self.coeffs[idx]:
-                out[name] = self.coeffs[idx]
-        d = {str(i): self.coeffs[3 + i] for i in range(1, self.params.k)
-             if self.coeffs[3 + i]}
-        if d:
-            out["d"] = d
-        return out
-
-    @classmethod
-    def from_json_dict(cls, params: GroupParams, data: dict) -> "RepElement":
-        coeffs = [0] * params.basis_size
-        for idx, name in enumerate(("one", "eta1", "eta2", "eta3")):
-            coeffs[idx] = int(data.get(name, 0))
-        for key, val in data.get("d", {}).items():
-            i = int(key)
-            if not 1 <= i <= params.k - 1:
-                raise ValueError(f"d_{i} is not a basis element for k={params.k}")
-            coeffs[3 + i] = int(val)
-        return cls(params, tuple(coeffs))
-
 
 def _dims(params: GroupParams):
     return (1, 1, 1, 1) + (2,) * (params.k - 1)
-
-
-def zero(params: GroupParams) -> RepElement:
-    return RepElement(params, (0,) * params.basis_size)
 
 
 def _basis(params: GroupParams, idx: int) -> RepElement:
@@ -145,30 +117,26 @@ def basis_elements(params: GroupParams):
     return [_basis(params, i) for i in range(params.basis_size)]
 
 
-def _fold(params: GroupParams, i: int) -> int:
-    """Fold an arbitrary d-index into [0, k] using d_(-i) = d_i = d_(m-i)."""
+@lru_cache(maxsize=None)
+def _d_terms(params: GroupParams, i: int) -> tuple:
+    """d_i for any integer i, folded into [0, k] by d_(-i) = d_i = d_(m-i)
+    and expanded over the basis: its pairs (index, 1).  Cached, so that the
+    entries of R's table share their pairs."""
     r = i % params.m
-    return params.m - r if r > params.k else r
-
-
-def _add_d(params: GroupParams, i: int, out: list):
-    """Add d_i, folded and expanded over the basis, to the coefficients ``out``."""
-    r = _fold(params, i)
+    r = params.m - r if r > params.k else r
     if r == 0:
-        out[ONE] += 1
-        out[ETA1] += 1
-    elif r == params.k:
-        out[ETA2] += 1
-        out[ETA3] += 1
-    else:
-        out[3 + r] += 1
+        return ((ONE, 1), (ETA1, 1))
+    if r == params.k:
+        return ((ETA2, 1), (ETA3, 1))
+    return ((3 + r, 1),)
 
 
 def canonical_d(params: GroupParams, i: int) -> RepElement:
     """d_i expanded over the basis, for any integer i."""
     out = [0] * params.basis_size
-    _add_d(params, i, out)
-    return RepElement(params, tuple(out))
+    for t, c in _d_terms(params, i):
+        out[t] = c
+    return RepElement(params, out)
 
 
 def phi_element(params: GroupParams) -> RepElement:
@@ -176,21 +144,19 @@ def phi_element(params: GroupParams) -> RepElement:
     return canonical_d(params, 1) - 2 * one(params)
 
 
-def _basis_product(params: GroupParams, i: int, j: int) -> list:
-    """Coefficients of b_i * b_j for i <= j, from the rules in the module docstring."""
-    out = [0] * params.basis_size
+def _basis_product(params: GroupParams, i: int, j: int) -> tuple:
+    """The table entry of b_i * b_j for i <= j, from the rules in the module
+    docstring.  The two terms d_(a+b) + d_(a-b) of d_a * d_b never share an
+    index: their d-indices differ by 2b and sum to 2a, both in (0, m)."""
     if j <= 3:
         # one-dimensionals form Z2 x Z2; xor of indices is the product
-        out[i ^ j] += 1
-    elif i in (ONE, ETA1):
-        out[j] += 1
-    elif i <= 3:
-        _add_d(params, params.k - (j - 3), out)
-    else:
-        di, dj = i - 3, j - 3
-        _add_d(params, di + dj, out)
-        _add_d(params, di - dj, out)
-    return out
+        return ((i ^ j, 1),)
+    if i in (ONE, ETA1):
+        return ((j, 1),)
+    if i <= 3:
+        return _d_terms(params, params.k - (j - 3))
+    di, dj = i - 3, j - 3
+    return tuple(sorted(_d_terms(params, di + dj) + _d_terms(params, di - dj)))
 
 
 @lru_cache(maxsize=None)

@@ -17,7 +17,7 @@ from qkring.repring import GroupParams, RepElement
 # ring name -> (ring descriptor, constructor from a full coefficient tuple)
 RINGS = {
     "R": (lambda: repring._ring(4), lambda cs: RepElement(GroupParams(4), cs)),
-    "K": (lambda: kring._ring(4), lambda cs: KElement(4, cs[0], cs[1], cs[2], cs[3:])),
+    "K": (lambda: kring._ring(4), lambda cs: KElement(4, cs)),
     "lens": (lambda: lens._ring(4), lambda cs: LensElement(4, cs)),
     "Z[zeta]": (lambda: intmath._ring(8), lambda cs: CyclotomicInt(8, cs)),
 }

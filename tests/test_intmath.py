@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qkring.freemodule import format_terms
-from qkring.intmath import CyclotomicInt, IntPoly, binomial, chebyshev_t, two_adic_valuation
+from qkring.intmath import CyclotomicInt, IntPoly, binomial, chebyshev_t
 
 
 def test_binomial_values():
@@ -24,24 +24,6 @@ def test_binomial_rejects_negative_n():
 def test_binomial_pascal(n, data):
     r = data.draw(st.integers(1, n - 1))
     assert binomial(n, r) == binomial(n - 1, r - 1) + binomial(n - 1, r)
-
-
-def test_two_adic_examples():
-    assert two_adic_valuation(8) == 3
-    assert two_adic_valuation(12) == 2
-    # the quadratic coefficient k(2k^2+1)/3 at k=4 is 44, whose 2-part is k
-    assert 4 * (2 * 16 + 1) // 3 == 44
-    assert two_adic_valuation(44) == 2
-
-
-def test_two_adic_zero_rejected():
-    with pytest.raises(ValueError):
-        two_adic_valuation(0)
-
-
-@given(st.integers(0, 60), st.integers(-499, 499).filter(lambda m: m % 2 != 0))
-def test_two_adic_reconstruction(e, odd):
-    assert two_adic_valuation(odd * 2 ** e) == e
 
 
 def test_chebyshev_small():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,6 +51,25 @@ def test_determinant_examples():
     assert determinant(identity_matrix(5)) == 1
     assert determinant([[0, 1], [1, 0]]) == -1
     assert determinant([[2, 0, 0], [0, 0, 0], [0, 0, 3]]) == 0
+
+
+def test_determinant_matches_sympy_on_sparse_matrices():
+    # zero multipliers are where Bareiss may skip a row: only under a pivot
+    # equal to the previous one, never under a new pivot
+    sympy = pytest.importorskip("sympy")
+    cases = [
+        [[2, 1, 0], [0, 3, 1], [0, 0, 5]],  # new pivots: rows with 0 multipliers rescaled
+        [[1, 4, 0], [0, 1, 7], [0, 0, 1]],  # equal pivots: those rows skipped
+        [[0, 2, 1], [3, 0, 0], [0, 0, 4]],  # a swap, then a new pivot
+        [[1, 2, 0, 0], [0, 3, 0, 1], [0, 0, 3, 2], [1, 0, 0, 6]],
+    ]
+    rng = random.Random(0)
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        cases.append([[rng.randint(-5, 5) if rng.random() < 0.4 else 0 for _ in range(n)]
+                      for _ in range(n)])
+    for M in cases:
+        assert determinant(M) == sympy.Matrix(M).det(), M
 
 
 def test_determinant_rejects_non_square():

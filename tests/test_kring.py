@@ -9,7 +9,6 @@ from qkring import kring
 from qkring.adams import g_poly
 from qkring.kring import (KElement, apply_rule_once, basis_change_matrix,
                           embed_to_R, fp_from_phipoly, fp_mul, fp_neg,
-                          k_one, k_phi_power, k_v1, k_v2, k_zero,
                           minimality_certificates, minimality_check, mono_name,
                           multiply_nf, nf_basis, nf_basis_labels, reduce,
                           relations_for, rewrite, verify_embedding,
@@ -24,7 +23,7 @@ V1, V2, PHI = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 def ke(n, c0=0, v1=0, v2=0, phi=()):
     k = GroupParams(n).k
     phi = tuple(phi) + (0,) * (k - len(phi))
-    return KElement(n, c0, v1, v2, phi)
+    return KElement(n, (c0, v1, v2) + phi)
 
 
 def test_relation_right_sides():
@@ -47,7 +46,7 @@ def test_reduce_examples():
         assert reduce({(1, 0, 1): 1}, n) == ke(n, v1=-2)
     # phi^3 at k=2 falls back through g_4 = phi^3 + 6*phi^2 + 8*phi
     assert reduce({(0, 0, 3): 1}, 3) == ke(3, phi=(-8, -6))
-    assert reduce({}, 3) == k_zero(3)
+    assert reduce({}, 3) == ke(3)
 
 
 def test_reduce_idempotent_on_normal_forms():
@@ -67,29 +66,29 @@ def test_reduce_idempotent_random(n, data):
 
 
 def test_multiply_nf_examples():
-    assert multiply_nf(k_v2(4), k_phi_power(4, 1)) == ke(4, v2=-2, phi=(8, 6, 1))
-    assert multiply_nf(k_v1(3), k_v1(3)) == ke(3, v1=-2)
+    assert multiply_nf(nf_basis(4)[2], nf_basis(4)[3]) == ke(4, v2=-2, phi=(8, 6, 1))
+    assert multiply_nf(nf_basis(3)[1], nf_basis(3)[1]) == ke(3, v1=-2)
     for b in nf_basis(5):
-        assert multiply_nf(k_one(5), b) == b
+        assert multiply_nf(nf_basis(5)[0], b) == b
 
 
 def test_kelement_operators():
     a = ke(3, c0=1, v1=2, phi=(3, 0))
     assert a + a == 2 * a
-    assert a - a == k_zero(3)
+    assert a - a == ke(3)
     assert -a == -1 * a
-    assert a * k_one(3) == a
+    assert a * nf_basis(3)[0] == a
     with pytest.raises(ValueError):
         a + ke(4)
 
 
 def test_embed_examples():
     p3 = GroupParams(3)
-    assert embed_to_R(k_v1(3)) == eta1(p3) - one(p3)
-    assert embed_to_R(k_one(3)) == one(p3)
-    phi2 = embed_to_R(k_phi_power(3, 2))
-    assert phi2 == RepElement.from_json_dict(
-        p3, {"one": 5, "eta1": 1, "eta2": 1, "eta3": 1, "d": {"1": -4}})
+    one_k, v1_k, _, _, phi2_k = nf_basis(3)
+    assert embed_to_R(v1_k) == eta1(p3) - one(p3)
+    assert embed_to_R(one_k) == one(p3)
+    phi2 = embed_to_R(phi2_k)
+    assert phi2 == RepElement(p3, (5, 1, 1, 1, -4))
     assert phi2 == phi_element(p3) * phi_element(p3)
 
 
@@ -208,8 +207,8 @@ def test_linear_relation_consequence():
         fp = {PHI: 4 * k}
         for e, c in f.items():
             fp[(0, 0, e + 2)] = fp.get((0, 0, e + 2), 0) - c
-        assert reduce(fp, n) == k_zero(n)
-        assert reduce(fp_from_phipoly(g), n) == k_zero(n)
+        assert reduce(fp, n) == ke(n)
+        assert reduce(fp_from_phipoly(g), n) == ke(n)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -218,13 +217,6 @@ def test_verify_embedding_report(n):
     assert report.all_passed
     size = GroupParams(n).basis_size
     assert len(report.checks) == 1 + size * size
-
-
-def test_json_round_trip():
-    a = ke(4, c0=-3, v1=2, v2=0, phi=(1, 0, -7, 4))
-    data = a.to_json_dict()
-    assert data == {"c0": "-3", "v1": "2", "v2": "0", "phi": ["1", "0", "-7", "4"]}
-    assert KElement.from_json_dict(4, data) == a
 
 
 def test_str_and_labels():
@@ -262,5 +254,6 @@ def test_k_table_built_on_first_product_only():
     verify_relations_in_R(5)
     verify_local_confluence(5)
     assert "table" not in vars(ring)
-    assert k_v1(5) * k_v2(5) == reduce({(1, 1, 0): 1}, 5)
+    _, v1, v2, *_ = nf_basis(5)
+    assert v1 * v2 == reduce({(1, 1, 0): 1}, 5)
     assert "table" in vars(ring)

@@ -11,7 +11,7 @@ import re
 
 import pytest
 
-from qkring import cli, cohomology, intmath, kring, lens, repring, truncation
+from qkring import adams, cli, cohomology, intmath, kring, lens, repring, truncation
 from qkring.repring import GroupParams
 
 
@@ -335,7 +335,7 @@ def test_structure_verdicts_hold_when_a_defect_matches_the_true_code_width(
 # ring, pair (i, j) with a nonzero product, constructor from coefficients
 ONE_SIDED = {
     "R": (lambda: repring._ring(4), (4, 5), lambda cs: repring.RepElement(GroupParams(4), cs)),
-    "K": (lambda: kring._ring(4), (3, 4), lambda cs: kring.KElement(4, *cs[:3], cs[3:])),
+    "K": (lambda: kring._ring(4), (3, 4), lambda cs: kring.KElement(4, cs)),
     "lens": (lambda: lens._ring(4), (1, 2), lambda cs: lens.LensElement(4, cs)),
     "Z[zeta]": (lambda: intmath._ring(8), (1, 2), lambda cs: intmath.CyclotomicInt(8, cs)),
 }
@@ -392,3 +392,40 @@ def test_doubled_lattice_row_fails_the_torsion_identity(monkeypatch, capsys):
     data = json.loads(capsys.readouterr().out)
     assert (data["torsion"], data["cohomology_product"], data["torsion_match"]) == (
         "512", "256", False)
+
+
+def _failed_checks(capsys, argv):
+    """The failed checks of a CLI run that must exit 1, from its JSON output."""
+    assert cli.main(argv + ["--format", "json"]) == 1
+    return [c for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]]
+
+
+def test_perturbed_psi_oracle_names_the_first_differing_term(monkeypatch, capsys):
+    true_oracles = adams.psi_oracles
+
+    def planted():  # psi^3 planted with 10*phi for 9*phi
+        for i, oracle in enumerate(true_oracles(), start=1):
+            yield oracle + adams.PhiPoly.of(1) if i == 3 else oracle
+
+    monkeypatch.setattr(adams, "psi_oracles", planted)
+    assert _failed_checks(capsys, ["verify", "--n", "3", "--suite", "oracle"]) == [
+        {"name": "psi_series = psi_oracle for i <= 5", "passed": False,
+         "detail": "psi^3: series phi^3 + 6*phi^2 + 9*phi, oracle phi^3 + 6*phi^2 + 10*phi"}]
+
+
+def test_changed_g_poly_shows_the_difference(monkeypatch, capsys):
+    true_g = adams.g_poly
+    monkeypatch.setattr(adams, "g_poly", lambda k: true_g(k) + adams.PhiPoly.of(0, -3))
+    assert _failed_checks(capsys, ["verify", "--n", "3", "--suite", "oracle"]) == [
+        {"name": "g_4 = psi^3 - psi^1", "passed": False,
+         "detail": "g_4 - psi^3 + psi^1 = -3*phi^2"}]
+
+
+def test_doubled_image_row_shows_the_determinant(monkeypatch, capsys):
+    # the image of phi^2 planted as twice itself: |det| becomes 2
+    true_columns = kring._basis_columns
+    monkeypatch.setattr(kring, "_basis_columns", lambda n: tuple(
+        column[:4] + (2 * column[4],) + column[5:] for column in true_columns(n)))
+    failures = _failed_checks(capsys, ["verify", "--n", "3", "--suite", "oracle"])
+    assert failures[0] == {"name": "basis_change_unimodular", "passed": False,
+                           "detail": "determinant -2"}

@@ -8,14 +8,17 @@ from qkring.repring import (ClassFunction, GroupParams, RepElement,
                             character_of, character_table, class_sizes,
                             decompose, eta1, eta2, eta3, inner_product,
                             one, phi_element, verify_orthogonality,
-                            verify_structure_constants, zero)
+                            verify_structure_constants)
 
 P3, P4, P6 = GroupParams(3), GroupParams(4), GroupParams(6)
 
 
-def el(params, **named):
+def el(params, one=0, eta1=0, eta2=0, eta3=0, d=()):
     """Shorthand builder: el(P4, one=1, eta1=1, d={1: 2})."""
-    return RepElement.from_json_dict(params, named)
+    coeffs = [one, eta1, eta2, eta3] + [0] * (params.k - 1)
+    for i, c in dict(d).items():
+        coeffs[3 + i] = c
+    return RepElement(params, coeffs)
 
 
 def test_params():
@@ -119,7 +122,7 @@ def test_decompose_round_trip_basis():
     for params in (P3, P4):
         for b in basis_elements(params):
             assert decompose(character_of(b)) == b
-    assert decompose(character_of(zero(P4))) == zero(P4)
+    assert decompose(character_of(el(P4))) == el(P4)
 
 
 @settings(max_examples=25)
@@ -164,17 +167,9 @@ def test_phi_element():
     assert (phi * phi).dimension() == 0
 
 
-def test_json_round_trip():
-    r = el(P4, one=-2, eta2=3, d={1: 1, 3: -7})
-    assert RepElement.from_json_dict(P4, r.to_json_dict()) == r
-    assert zero(P4).to_json_dict() == {}
-    with pytest.raises(ValueError):
-        RepElement.from_json_dict(P3, {"d": {"2": 1}})  # d_2 not a basis label at k=2
-
-
 def test_str():
     assert str(el(P4, one=1, eta1=-4, d={2: 1})) == "1 - 4*eta1 + d_2"
-    assert str(zero(P3)) == "0"
+    assert str(el(P3)) == "0"
     assert basis_labels(P4) == ["1", "eta1", "eta2", "eta3", "d_1", "d_2", "d_3"]
 
 

@@ -4,8 +4,7 @@ import pytest
 
 from qkring import truncation
 from qkring.intmatrix import determinant, smith_normal_form
-from qkring.repring import (GroupParams, RepElement, basis_elements, one,
-                            phi_element, zero)
+from qkring.repring import GroupParams, RepElement, basis_elements, one, phi_element
 from qkring.truncation import (TableCell, corollary2_table, order_of,
                                phi_order, pow2_str, torsion_order,
                                truncated_quotient)
@@ -95,7 +94,7 @@ def test_matches_the_raw_lattice_route(n, N):
     order, torsion = _route_of_the_raw_lattice(q)
     assert torsion_order(q) == torsion
     phi = phi_element(q.params)
-    elements = basis_elements(q.params) + [phi, phi ** 2, zero(q.params),
+    elements = basis_elements(q.params) + [phi, phi ** 2, 0 * phi,
                                            phi - 3 * basis_elements(q.params)[-1]]
     for e in elements:
         assert order_of(e, q) == order(e)
@@ -155,7 +154,7 @@ def test_order_of_unit_infinite():
 
 def test_order_of_zero():
     q = truncated_quotient(3, 0)
-    assert order_of(zero(q.params), q) == 1
+    assert order_of(0 * phi_element(q.params), q) == 1
 
 
 def test_order_mismatched_params():

@@ -14,18 +14,17 @@ __version__ = "0.1.0"
 
 _MODULES = {
     "adams": ("PhiPoly", "g_poly", "psi_oracle", "psi_oracles", "psi_series",
-              "verify_g_identity"),
+              "verify_oracles"),
     "cohomology": ("CohGroup", "consistency_report", "h_group", "predicted_reduced_order"),
     "intmath": ("CyclotomicInt", "IntPoly", "binomial", "chebyshev_t"),
     "intmatrix": ("SmithForm", "determinant", "hermite_basis_mod", "smith_normal_form"),
     "kring": ("KElement", "MinimalityCertificate", "RelationSet", "basis_change_matrix",
-              "embed_to_R", "minimality_certificates", "minimality_check", "multiply_nf",
+              "embed_to_R", "minimality_certificates", "multiply_nf",
               "reduce", "relations_for", "verify_embedding", "verify_local_confluence",
               "verify_minimality_witness", "verify_relation3_redundant",
               "verify_relations_in_R"),
     "lens": ("LensElement", "eta_power", "lens_multiply", "restrict",
-             "restriction_hom_check", "verify_relations_vanish", "verify_restriction_hom",
-             "w_element"),
+             "verify_relations_vanish", "verify_restriction_hom", "w_element"),
     "repring": ("ClassFunction", "GroupParams", "RepElement", "canonical_d", "character_of",
                 "character_table", "decompose", "inner_product", "multiply", "phi_element",
                 "verify_structure_constants"),

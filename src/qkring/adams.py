@@ -12,7 +12,8 @@ Two independent constructions of psi^i are kept side by side:
 
 Their equality is a standing regression test, not a one-time derivation.
 The relation polynomial g_{2k} = psi^(k+1) - psi^(k-1) likewise has its own
-closed series.
+closed series.  ``verify_oracles`` checks both identities and returns a
+``Report`` whose failing checks name their witnesses.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from itertools import islice
 from math import gcd
 
 from .intmath import IntPoly, binomial
+from .report import Check, Report
 
 
 class PhiPoly(IntPoly):
@@ -118,7 +120,16 @@ def g_poly(k: int) -> PhiPoly:
     return PhiPoly.of(*coeffs)
 
 
-def verify_g_identity(k: int) -> bool:
-    """g_{2k} == psi^(k+1) - psi^(k-1), exactly."""
-    return g_poly(k) == psi_series(k + 1) - psi_series(k - 1)
-
+def verify_oracles(k: int) -> Report:
+    """psi_series = psi_oracle for i <= 2k+1, and g_{2k} = psi^(k+1) -
+    psi^(k-1) exactly.  A failure shows the first i where the series and
+    the oracle differ, or g_{2k} - psi^(k+1) + psi^(k-1)."""
+    psi_split = next((f"psi^{i}: series {series}, oracle {oracle}" for i, oracle
+                      in zip(range(1, 2 * k + 2), psi_oracles())
+                      if (series := psi_series(i)) != oracle), "")
+    g_diff = g_poly(k) - psi_series(k + 1) + psi_series(k - 1)
+    return Report(f"adams oracle, k={k}", (
+        Check(f"psi_series = psi_oracle for i <= {2 * k + 1}", not psi_split, psi_split),
+        Check(f"g_{2 * k} = psi^{k + 1} - psi^{k - 1}", not g_diff.coeffs,
+              f"g_{2 * k} - psi^{k + 1} + psi^{k - 1} = {g_diff}"),
+    ))

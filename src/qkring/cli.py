@@ -5,6 +5,9 @@ fails or a table cell mismatches, 2 on usage errors.  ``--format json``
 emits a single JSON document on stdout; text mode prints one result per
 line.  Output ordering is fixed so golden tests stay stable.
 
+``verify`` merges the ``Report``s of each suite's certifiers, which one
+table lists, in ``SUITES`` order for ``all``; it builds no check itself.
+
 Each verb imports only the modules it runs, inside its handler, and looks
 names up on those module objects when it runs: ``order`` and ``table`` load
 truncation (with intmatrix and repring), ``adams`` and ``g`` load adams,
@@ -20,7 +23,7 @@ import argparse
 import json
 import sys
 
-from .report import Check, Report, merge
+from .report import Report, merge
 
 SUITES = ("relations", "oracle", "redundancy", "minimality", "restriction",
           "confluence", "all")
@@ -62,39 +65,21 @@ def _run_suite(n: int, suite: str) -> Report:
     from . import adams, kring, lens, repring
 
     params = repring.GroupParams(n)
-    parts = []
-    if suite in ("relations", "all"):
-        parts.append(kring.verify_relations_in_R(n))
-    if suite in ("oracle", "all"):
-        parts.append(repring.verify_structure_constants(params))
-        parts.append(repring.verify_orthogonality(params))
-        k = params.k
-        # a failure shows the first i where the series and the oracle differ
-        psi_split = next((f"psi^{i}: series {series}, oracle {oracle}" for i, oracle
-                          in zip(range(1, 2 * k + 2), adams.psi_oracles())
-                          if (series := adams.psi_series(i)) != oracle), "")
-        g_ok = adams.verify_g_identity(k)
-        g_diff = "" if g_ok else (adams.g_poly(k) - adams.psi_series(k + 1)
-                                  + adams.psi_series(k - 1))
-        parts.append(Report("adams oracle", (
-            Check(f"psi_series = psi_oracle for i <= {2 * k + 1}", not psi_split, psi_split),
-            Check(f"g_{2 * k} = psi^{k + 1} - psi^{k - 1}", g_ok,
-                  f"g_{2 * k} - psi^{k + 1} + psi^{k - 1} = {g_diff}"),
-        )))
-        parts.append(kring.verify_embedding(n))
-    if suite in ("redundancy", "all"):
-        parts.append(Report("relation 3 redundancy", (
-            Check("relation3 redundant via relations 1,2,4,5",
-                  kring.verify_relation3_redundant(n)),)))
-    if suite in ("minimality", "all"):
-        parts.append(Report("minimality witnesses", (kring.minimality_check(n),)))
-    if suite in ("restriction", "all"):
-        parts.append(Report("restriction homomorphism",
-                            (lens.restriction_hom_check(n),)))
-        parts.append(lens.verify_relations_vanish(n))
-    if suite in ("confluence", "all"):
-        parts.append(kring.verify_local_confluence(n))
-    return merge(f"suite {suite}, n={n}", *parts)
+    # each suite's certifiers, with the one argument each takes
+    certifiers = {
+        "relations": ((kring.verify_relations_in_R, n),),
+        "oracle": ((repring.verify_structure_constants, params),
+                   (repring.verify_orthogonality, params),
+                   (adams.verify_oracles, params.k),
+                   (kring.verify_embedding, n)),
+        "redundancy": ((kring.verify_relation3_redundant, n),),
+        "minimality": ((kring.verify_minimality_witness, n),),
+        "restriction": ((lens.verify_restriction_hom, n), (lens.verify_relations_vanish, n)),
+        "confluence": ((kring.verify_local_confluence, n),),
+    }
+    names = SUITES[:-1] if suite == "all" else (suite,)
+    return merge(f"suite {suite}, n={n}",
+                 *(certify(arg) for name in names for certify, arg in certifiers[name]))
 
 
 def _cmd_verify(args) -> int:
@@ -111,9 +96,7 @@ def _cmd_verify(args) -> int:
 def _cmd_order(args) -> int:
     from . import truncation
 
-    cell = truncation.TableCell(args.n, args.N,
-                                truncation.phi_order(args.n, args.N),
-                                2 ** (args.n + 2 * args.N))
+    cell = truncation.table_cell(args.n, args.N)
     lines = [
         f"order(phi) in the truncation (n={args.n}, N={args.N}): "
         f"{cell.order} = {truncation.pow2_str(cell.order)}",

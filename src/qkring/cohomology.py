@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from .report import Record
 from .repring import GroupParams, phi_element
-from .truncation import order_of, pow2_str, torsion_order, truncated_quotient
+from .truncation import (expected_phi_order, order_of, pow2_str, torsion_order,
+                         truncated_quotient)
 
 
 class CohGroup(Record):
@@ -130,7 +131,7 @@ def consistency_report(n: int, N: int) -> ConsistencyReport:
         n=n,
         N=N,
         phi_order=order_of(phi_element(params), q),
-        phi_expected=2 ** (n + 2 * N),
+        phi_expected=expected_phi_order(n, N),
         torsion=torsion_order(q),
         predicted=predicted_reduced_order(N + 1, params.k),
     )

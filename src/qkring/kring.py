@@ -44,6 +44,9 @@ I + m^(D+1) + 2^e*Z[v1, v2, phi], where I is the ideal of the other four
 relations and m = (v1, v2, phi).  That is a question about one integer
 lattice in the monomials of degree <= D, and a nonzero residue of r against
 its Hermite basis is the certificate.
+
+Each ``verify_*`` certifier returns a ``Report`` whose failing checks name
+their witnesses.
 """
 
 from __future__ import annotations
@@ -482,15 +485,18 @@ def verify_relations_in_R(n: int) -> Report:
     return Report(f"relations in R(Q_{params.group_order}), n={n}", tuple(checks))
 
 
-def verify_relation3_redundant(n: int) -> bool:
+def verify_relation3_redundant(n: int) -> Report:
     """(phi + 2) * (relation 6) reduced with relations 1, 2, 4, 5 only must
-    give back +-g_{2k}(phi); the phi^(k+1) rule is never used."""
+    give back +-g_{2k}(phi); the phi^(k+1) rule is never used.  A failure
+    shows what the product reduces to."""
     rset = relations_for(n)
     diff = rset.relation("relation6").difference()
     prod = fp_mul({(0, 0, 1): 1, (0, 0, 0): 2}, diff)
     red = rewrite(prod, rset, labels=("relation1", "relation2", "relation4", "relation5"))
     gfp = fp_from_phipoly(g_poly(rset.k))
-    return red == gfp or red == fp_neg(gfp)
+    return Report(f"relation 3 redundancy, n={n}", (
+        Check("relation3 redundant via relations 1,2,4,5", red in (gfp, fp_neg(gfp)),
+              f"(phi + 2)*(relation 6) reduces to {fp_format(red)}"),))
 
 
 MINIMALITY_DEGREES = (1, 2, 3)
@@ -565,18 +571,7 @@ def minimality_certificates(n: int) -> dict:
         for label, fp in differences.items()}
 
 
-def minimality_check(n: int) -> Check:
-    """Passes when every presentation relation has a minimality certificate;
-    a failure names the relations that have none."""
-    certificates = minimality_certificates(n)
-    missing = [label for label, cert in certificates.items() if cert is None]
-    detail = (f"no certificate with D <= {MINIMALITY_DEGREES[-1]}, e <= {n + 2} "
-              f"for {', '.join(missing)}" if missing
-              else "; ".join(map(str, certificates.values())))
-    return Check("each presentation relation is necessary", not missing, detail)
-
-
-def verify_minimality_witness(n: int) -> bool:
+def verify_minimality_witness(n: int) -> Report:
     """No presentation relation lies in the ideal of the other four.
 
     Minimality of a presentation is ideal non-membership, in the polynomial
@@ -586,9 +581,16 @@ def verify_minimality_witness(n: int) -> bool:
     larger ideal I + m^(D+1) + 2^e*Z[v1, v2, phi] for every D and e.
     Membership in that one is decided exactly on the finite lattice of
     degrees <= D, so a nonzero residue of r against its Hermite basis
-    proves r is not in I.  See ``minimality_check``.
+    proves r is not in I.  A failure names the relations that have no
+    ``MinimalityCertificate``.
     """
-    return minimality_check(n).passed
+    certificates = minimality_certificates(n)
+    missing = [label for label, cert in certificates.items() if cert is None]
+    detail = (f"no certificate with D <= {MINIMALITY_DEGREES[-1]}, e <= {n + 2} "
+              f"for {', '.join(missing)}" if missing
+              else "; ".join(map(str, certificates.values())))
+    return Report(f"minimality witnesses, n={n}", (
+        Check("each presentation relation is necessary", not missing, detail),))
 
 
 def critical_monomials(k: int):

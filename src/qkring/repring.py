@@ -109,10 +109,6 @@ def eta2(params: GroupParams) -> RepElement:
     return _basis(params, ETA2)
 
 
-def eta3(params: GroupParams) -> RepElement:
-    return _basis(params, ETA3)
-
-
 def basis_elements(params: GroupParams):
     return [_basis(params, i) for i in range(params.basis_size)]
 

@@ -83,6 +83,11 @@ def phi_order(n: int, N: int):
     return order_of(phi_element(q.params), q)
 
 
+def expected_phi_order(n: int, N: int) -> int:
+    """The paper's order of phi in the truncation of index N: 2^(n+2N)."""
+    return 2 ** (n + 2 * N)
+
+
 def torsion_order(q: TruncatedQuotient) -> int:
     """Product of the nonzero elementary divisors: the size of the torsion
     part of the quotient group, which is the index D of the lattice."""
@@ -123,8 +128,9 @@ def corollary2_table(n_max: int, N_max: int):
     """order(phi) for 3 <= n <= n_max, 0 <= N <= N_max, with expected 2^(n+2N)."""
     if n_max < 3 or N_max < 0:
         raise ValueError("need n_max >= 3 and N_max >= 0")
-    cells = []
-    for n in range(3, n_max + 1):
-        for N in range(N_max + 1):
-            cells.append(TableCell(n, N, phi_order(n, N), 2 ** (n + 2 * N)))
-    return cells
+    return [table_cell(n, N) for n in range(3, n_max + 1) for N in range(N_max + 1)]
+
+
+def table_cell(n: int, N: int) -> TableCell:
+    """order(phi) in the truncation of index N, with its expected value."""
+    return TableCell(n, N, phi_order(n, N), expected_phi_order(n, N))

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkring.adams import (PhiPoly, g_poly, psi_oracle, psi_oracles, psi_series,
-                          verify_g_identity)
+                          verify_oracles)
 from qkring.intmath import IntPoly, chebyshev_t
 
 
@@ -61,13 +61,13 @@ def test_g_shape():
 
 def test_g_identity_powers_of_two():
     for k in (2, 4, 8, 16, 32, 64):
-        assert verify_g_identity(k)
+        assert verify_oracles(k).all_passed
 
 
 def test_g_identity_generic_k():
     # the polynomial identity needs no power-of-two hypothesis
     for k in (3, 5, 6, 7, 10):
-        assert verify_g_identity(k)
+        assert verify_oracles(k).all_passed
 
 
 def test_g_rejects_small_k():

@@ -9,7 +9,7 @@ from qkring import kring
 from qkring.adams import g_poly
 from qkring.kring import (KElement, apply_rule_once, basis_change_matrix,
                           embed_to_R, fp_from_phipoly, fp_mul, fp_neg,
-                          minimality_certificates, minimality_check, mono_name,
+                          minimality_certificates, mono_name,
                           multiply_nf, nf_basis, nf_basis_labels, reduce,
                           relations_for, rewrite, verify_embedding,
                           verify_local_confluence, verify_minimality_witness,
@@ -149,7 +149,7 @@ def test_relations_in_R_check_count():
 
 @pytest.mark.parametrize("n", [3, 4, 7])
 def test_relation3_redundant(n):
-    assert verify_relation3_redundant(n)
+    assert verify_relation3_redundant(n).all_passed
 
 
 def test_redundancy_lands_on_minus_g():
@@ -164,7 +164,7 @@ def test_redundancy_lands_on_minus_g():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_minimality(n):
-    assert verify_minimality_witness(n)
+    assert verify_minimality_witness(n).all_passed
 
 
 def test_minimality_specific_witnesses():
@@ -178,7 +178,7 @@ def test_minimality_specific_witnesses():
                 for label, c in certificates.items()} == expected, n
     # at D = 1 relation 5 leaves k*(2-k)*phi, of 2-adic valuation n-1 (n >= 4)
     assert minimality_certificates(4)["relation5"].residue == {PHI: 8}
-    check = minimality_check(3)
+    check = verify_minimality_witness(3).checks[0]
     assert check.passed
     assert check.detail.startswith("relation1: D=2, e=1, residue v1^2; ")
 

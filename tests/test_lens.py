@@ -67,7 +67,7 @@ def test_restrict_kernel():
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_restriction_hom(n):
-    assert verify_restriction_hom(n)
+    assert verify_restriction_hom(n).all_passed
 
 
 @settings(max_examples=25)

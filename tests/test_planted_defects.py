@@ -153,11 +153,29 @@ def test_k_table_rejects_a_right_side_outside_the_basis(monkeypatch):
 def test_appended_relation3_fails_minimality(monkeypatch, capsys):
     patch_relations(monkeypatch, 4, relations=lambda r: r.relations + (r.relation3,))
     detail = "no certificate with D <= 3, e <= 6 for relation3"
-    assert kring.minimality_check(4).witness == detail
-    assert not kring.verify_minimality_witness(4)
+    report = kring.verify_minimality_witness(4)
+    assert report.checks[0].witness == detail
+    assert not report.all_passed
     assert cli.main(["verify", "--n", "4", "--suite", "minimality", "--format", "json"]) == 1
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert checks == [{"name": "each presentation relation is necessary", "passed": False,
+                       "detail": detail}]
+
+
+def test_changed_relation4_fails_redundancy(monkeypatch, capsys):
+    # relation 4 planted as v1*phi = -3*v1: the reduction of (phi + 2)*(relation 6)
+    # rewrites phi*v1*v2 with it, and -v1*v2 is left stuck
+    true_reduction = kring.verify_relation3_redundant(3).checks[0].detail
+    patch_relations(monkeypatch, 3, rules=lambda r: tuple(
+        rule.replace(rhs=(((1, 0, 0), -3),)) if rule.label == "relation4"
+        else rule for rule in r.rules))
+    report = kring.verify_relation3_redundant(3)
+    detail = "(phi + 2)*(relation 6) reduces to -phi^3 - 6*phi^2 - 8*phi - v1*v2 - 2*v1"
+    assert report.checks[0].detail == detail != true_reduction
+    assert not report.all_passed
+    assert cli.main(["verify", "--n", "3", "--suite", "redundancy", "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks == [{"name": "relation3 redundant via relations 1,2,4,5", "passed": False,
                        "detail": detail}]
 
 
@@ -190,7 +208,7 @@ def test_rep_table_defect_leaves_relation_residue(plant, capsys, i, j, residues)
 
 def test_lens_table_defect_fails_restriction(plant):
     plant(lens._ring(2), 1, 1)
-    assert not lens.verify_restriction_hom(3)
+    assert not lens.verify_restriction_hom(3).all_passed
 
 
 def test_lens_table_defect_names_the_restriction_pair(plant, capsys):
@@ -199,7 +217,7 @@ def test_lens_table_defect_names_the_restriction_pair(plant, capsys):
     plant(lens._ring(2), 1, 1)
     detail = ("d_1*d_1: restrict(a*b) = 2 + 2*eta^2, "
               "restrict(a)*restrict(b) = 2 + 3*eta^2")
-    assert lens.restriction_hom_check(3).witness == detail
+    assert lens.verify_restriction_hom(3).checks[0].witness == detail
     assert cli.main(["verify", "--n", "3", "--suite", "restriction", "--format", "json"]) == 1
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert checks[0] == {"name": "restrict is a ring homomorphism", "passed": False,
@@ -216,10 +234,11 @@ def test_restriction_random_trial_is_named(monkeypatch):
         return image + lens.lens_one(r.params.k) if max(map(abs, r.coeffs)) > 20 else image
 
     monkeypatch.setattr(lens, "restrict", planted)
-    witness = lens.restriction_hom_check(3, trials=5, seed=1).witness
+    report = lens.verify_restriction_hom(3, trials=5, seed=1)
+    witness = report.checks[0].witness
     assert re.fullmatch(r"random trial 0 \(a = .+, b = .+\): restrict\(a\*b\) = .+, "
                         r"restrict\(a\)\*restrict\(b\) = .+", witness), witness
-    assert not lens.verify_restriction_hom(3, trials=5, seed=1)
+    assert not report.all_passed
 
 
 # k = 2: entry (2, 2) is eta^2 * eta^2, used only by v2^2 = (eta^2 - 1)^2;

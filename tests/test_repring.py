@@ -3,10 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkring.intmath import CyclotomicInt
-from qkring.repring import (ClassFunction, GroupParams, RepElement,
+from qkring.repring import (ETA3, ClassFunction, GroupParams, RepElement,
                             basis_elements, basis_labels, canonical_d,
                             character_of, character_table, class_sizes,
-                            decompose, eta1, eta2, eta3, inner_product,
+                            decompose, eta1, eta2, inner_product,
                             one, phi_element, verify_orthogonality,
                             verify_structure_constants)
 
@@ -49,15 +49,16 @@ def test_multiply_examples():
     assert d1 * d1 == el(P4, one=1, eta1=1, d={2: 1})
     d1_small = canonical_d(P3, 1)
     assert d1_small * d1_small == el(P3, one=1, eta1=1, eta2=1, eta3=1)
-    assert eta3(P4) * canonical_d(P4, 2) == canonical_d(P4, 2)
+    assert basis_elements(P4)[ETA3] * canonical_d(P4, 2) == canonical_d(P4, 2)
 
 
 def test_eta_products():
     for params in (P3, P4):
         assert eta1(params) * eta1(params) == one(params)
         assert eta2(params) * eta2(params) == one(params)
-        assert eta3(params) * eta3(params) == one(params)
-        assert eta1(params) * eta2(params) == eta3(params)
+        eta3 = basis_elements(params)[ETA3]
+        assert eta3 * eta3 == one(params)
+        assert eta1(params) * eta2(params) == eta3
 
 
 def test_eta_action_on_d_span():
@@ -65,7 +66,7 @@ def test_eta_action_on_d_span():
         for i in range(1, params.k):
             di = canonical_d(params, i)
             assert eta1(params) * di == di
-            assert eta2(params) * di == eta3(params) * di
+            assert eta2(params) * di == basis_elements(params)[ETA3] * di
             assert eta2(params) * di == canonical_d(params, params.k - i)
 
 

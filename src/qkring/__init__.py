@@ -13,10 +13,10 @@ import importlib
 __version__ = "0.1.0"
 
 _MODULES = {
-    "adams": ("PhiPoly", "g_poly", "psi_oracle", "psi_oracles", "psi_series",
+    "adams": ("PhiPoly", "g_poly", "psi_oracles", "psi_series",
               "verify_oracles"),
     "cohomology": ("CohGroup", "consistency_report", "h_group", "predicted_reduced_order"),
-    "intmath": ("CyclotomicInt", "IntPoly", "binomial", "chebyshev_t"),
+    "intmath": ("CyclotomicInt", "IntPoly", "binomial"),
     "intmatrix": ("SmithForm", "determinant", "hermite_basis_mod", "smith_normal_form"),
     "kring": ("KElement", "MinimalityCertificate", "RelationSet", "basis_change_matrix",
               "embed_to_R", "minimality_certificates", "multiply_nf",
@@ -25,9 +25,8 @@ _MODULES = {
               "verify_relations_in_R"),
     "lens": ("LensElement", "eta_power", "lens_multiply", "restrict",
              "verify_relations_vanish", "verify_restriction_hom", "w_element"),
-    "repring": ("ClassFunction", "GroupParams", "RepElement", "canonical_d", "character_of",
-                "character_table", "decompose", "inner_product", "multiply", "phi_element",
-                "verify_structure_constants"),
+    "repring": ("ClassFunction", "GroupParams", "RepElement", "canonical_d",
+                "character_table", "multiply", "phi_element", "verify_structure_constants"),
     "truncation": ("TruncatedQuotient", "corollary2_table", "order_of", "phi_order",
                    "torsion_order", "truncated_quotient"),
 }

@@ -5,10 +5,12 @@ Two independent constructions of psi^i are kept side by side:
 * ``psi_series`` -- the closed binomial series
       psi^i(w) = sum_{j=1..i} [C(i,j) * C(i+j-1,j) / C(2j-1,j)] * w^j,
   whose coefficients must all reduce to integers;
-* ``psi_oracle`` -- s_i - 2, where s_i = t_i(w + 2) comes from running the
-  Chebyshev-style recurrence in w itself: s_0 = 2, s_1 = w + 2,
-  s_{i+1} = (w + 2)*s_i - s_{i-1}.  This encodes psi^i(w) = z^i + z^-i - 2
-  at w = z + 1/z - 2.
+* ``psi_oracles`` -- s_i - 2 for i = 1, 2, ..., where s_i = t_i(w + 2)
+  comes from running the Chebyshev-style recurrence in w itself:
+  s_0 = 2, s_1 = w + 2, s_{i+1} = (w + 2)*s_i - s_{i-1}.  With
+  t_0 = 2, t_1 = c, t_{i+1} = c*t_i - t_{i-1} one has
+  t_i(z + 1/z) = z^i + z^-i, so this encodes psi^i(w) = z^i + z^-i - 2 at
+  w = z + 1/z - 2.
 
 Their equality is a standing regression test, not a one-time derivation.
 The relation polynomial g_{2k} = psi^(k+1) - psi^(k-1) likewise has its own
@@ -18,7 +20,6 @@ closed series.  ``verify_oracles`` checks both identities and returns a
 
 from __future__ import annotations
 
-from itertools import islice
 from math import gcd
 
 from .intmath import IntPoly, binomial
@@ -29,8 +30,8 @@ class PhiPoly(IntPoly):
     """Integer polynomial in phi with zero constant term; coeffs[j] goes with
     phi^j, so coeffs[0] is always 0 (or coeffs is empty).
 
-    All arithmetic, ``coeff``, ``degree``, ``compose`` and evaluation are
-    IntPoly's; they return PhiPoly, and this class only checks the constant.
+    All arithmetic, ``coeff``, ``degree`` and ``compose`` are IntPoly's;
+    they return PhiPoly, and this class only checks the constant.
     """
 
     __slots__ = ()
@@ -44,10 +45,6 @@ class PhiPoly(IntPoly):
     def of(cls, *coeffs: int) -> "PhiPoly":
         """Coefficients of phi, phi^2, ...: PhiPoly.of(4, 1) is 4*phi + phi^2."""
         return cls((0,) + coeffs)
-
-    @classmethod
-    def from_intpoly(cls, p: IntPoly) -> "PhiPoly":
-        return cls(p.coeffs)
 
     def to_pairs(self):
         """[[exponent, coefficient-as-decimal-string], ...], ascending."""
@@ -88,16 +85,9 @@ def psi_oracles():
     two, w_plus_2 = IntPoly.of(2), IntPoly.of(2, 1)
     prev, cur = two, w_plus_2
     while True:
-        # from_intpoly raises ArithmeticError unless s_i has constant term 2
-        yield PhiPoly.from_intpoly(cur - two)
+        # PhiPoly raises ArithmeticError unless s_i has constant term 2
+        yield PhiPoly((cur - two).coeffs)
         prev, cur = cur, w_plus_2 * cur - prev
-
-
-def psi_oracle(i: int) -> PhiPoly:
-    """psi^i, the i-th term of ``psi_oracles``."""
-    if i < 1:
-        raise ValueError("psi^i requires i >= 1")
-    return next(islice(psi_oracles(), i - 1, None))
 
 
 def g_poly(k: int) -> PhiPoly:
@@ -121,7 +111,7 @@ def g_poly(k: int) -> PhiPoly:
 
 
 def verify_oracles(k: int) -> Report:
-    """psi_series = psi_oracle for i <= 2k+1, and g_{2k} = psi^(k+1) -
+    """psi_series = psi_oracles for i <= 2k+1, and g_{2k} = psi^(k+1) -
     psi^(k-1) exactly.  A failure shows the first i where the series and
     the oracle differ, or g_{2k} - psi^(k+1) + psi^(k-1)."""
     psi_split = next((f"psi^{i}: series {series}, oracle {oracle}" for i, oracle

@@ -8,13 +8,17 @@ line.  Output ordering is fixed so golden tests stay stable.
 ``verify`` merges the ``Report``s of each suite's certifiers, which one
 table lists, in ``SUITES`` order for ``all``; it builds no check itself.
 
-Each verb imports only the modules it runs, inside its handler, and looks
+Each verb imports the modules it calls, inside its handler, and looks
 names up on those module objects when it runs: ``order`` and ``table`` load
 truncation (with intmatrix and repring), ``adams`` and ``g`` load adams,
 ``cohomology`` and ``consistency`` load cohomology, ``present`` loads kring
 and repring, and ``verify`` loads every module but cohomology and
-truncation.  A process started for one verb so compiles no code it does
-not run.
+truncation.  A module's own imports come along, so a verb may compile code
+it does not run: ``present`` compiles intmatrix, which kring imports for
+the embedding and minimality certificates, and ``cohomology`` compiles
+truncation (with intmatrix, repring, intmath and freemodule), which
+cohomology imports for ``consistency``, though it runs only ``h_group``.
+``tests/test_imports.py`` pins each verb's module set.
 """
 
 from __future__ import annotations
@@ -52,8 +56,8 @@ def _cmd_present(args) -> int:
         lines.append(f"relation {number}: {rel}")
         rel_json.append({
             "label": number,
-            "lhs": kring.fp_format(rel.lhs_fp()),
-            "rhs": kring.fp_format(rel.rhs_fp()),
+            "lhs": kring.mono_name(rel.pattern),
+            "rhs": kring.fp_format(dict(rel.rhs)),
         })
     _emit(args, {"n": args.n, "k": params.k,
                  "generators": ["v1", "v2", "phi"],

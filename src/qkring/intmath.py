@@ -1,9 +1,8 @@
 """Exact integer arithmetic substrate.
 
-Binomial coefficients, the Chebyshev-style recurrence
-t_0 = 2, t_1 = c, t_{i+1} = c*t_i - t_{i-1} (so that t_i(z + 1/z) = z^i + z^-i),
-and cyclotomic integers for a power-of-two root of unity.  Everything is
-pure and exact; no floats anywhere.
+Binomial coefficients, dense integer polynomials with composition, and
+cyclotomic integers for a power-of-two root of unity.  Everything is pure
+and exact; no floats anywhere.
 """
 
 from __future__ import annotations
@@ -88,21 +87,6 @@ class IntPoly(Record):
             acc = acc * other + IntPoly.of(c)
         return type(self)(acc.coeffs)
 
-    def __call__(self, x):
-        """Evaluate at x by Horner's scheme: acc = acc*x + c*x over the
-        coefficients of x^d, ..., x^1, then the constant term is added.
-
-        With a zero constant term only +, * and integer scaling are used, so
-        x may be an element of a ring whose unit is not at hand (a ring
-        element, a PhiPoly); int and Fraction work for any polynomial.
-        """
-        acc = 0 * x
-        for c in reversed(self.coeffs[1:]):
-            acc = acc * x + c * x if c else acc * x
-        return acc + self.coeffs[0] if self.coeff(0) else acc
-
-    evaluate = __call__
-
     def format(self, var: str = "c") -> str:
         terms = [(c, var if i == 1 else f"{var}^{i}" if i else "")
                  for i, c in enumerate(self.coeffs)]
@@ -110,23 +94,6 @@ class IntPoly(Record):
 
     def __str__(self) -> str:
         return self.format()
-
-
-def chebyshev_t(i: int) -> IntPoly:
-    """t_i with t_0 = 2, t_1 = c, t_{i+1} = c*t_i - t_{i-1}.
-
-    These satisfy t_i(z + 1/z) = z^i + z^-i, which is what makes them the
-    independent oracle for the Adams-operation polynomials.
-    """
-    if i < 0:
-        raise ValueError("chebyshev_t requires i >= 0")
-    prev, cur = IntPoly.of(2), IntPoly.of(0, 1)
-    if i == 0:
-        return prev
-    x = IntPoly.of(0, 1)
-    for _ in range(i - 1):
-        prev, cur = cur, x * cur - prev
-    return cur
 
 
 @lru_cache(maxsize=None)
@@ -162,10 +129,6 @@ class CyclotomicInt(Element):
     @property
     def k(self) -> int:
         return self.ring.param
-
-    @classmethod
-    def zero(cls, k: int) -> "CyclotomicInt":
-        return cls(k, (0,) * k)
 
     @classmethod
     def one(cls, k: int) -> "CyclotomicInt":

@@ -18,30 +18,13 @@ def identity_matrix(n: int):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def mat_mul(A, B):
-    rows, inner, cols = len(A), len(B), len(B[0])
-    if any(len(r) != inner for r in A):
-        raise ValueError("incompatible shapes")
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        Ai = A[i]
-        for t in range(inner):
-            a = Ai[t]
-            if a == 0:
-                continue
-            Bt = B[t]
-            row = out[i]
-            for j in range(cols):
-                row[j] += a * Bt[j]
-    return out
-
-
 def determinant(A) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination.
 
     Row i is left as it is at step t when its multiplier M[i][t] is 0 and
     the pivot equals the previous one, because (x*p - 0*y) // p is x.  A
-    row with a zero multiplier under a new pivot is still rescaled.
+    row with a zero multiplier under a new pivot is still rescaled.  The
+    0 x 0 matrix has the empty product, 1, as its determinant.
     """
     n = len(A)
     if any(len(r) != n for r in A):
@@ -66,7 +49,7 @@ def determinant(A) -> int:
                 M[i][j] = (M[i][j] * pivot - M[i][t] * M[t][j]) // prev
             M[i][t] = 0
         prev = pivot
-    return sign * M[n - 1][n - 1]
+    return sign * M[n - 1][n - 1] if n else 1
 
 
 def _xgcd(a: int, b: int):
@@ -129,40 +112,10 @@ class SmithForm(Record):
 
     @property
     def diagonal(self):
-        return [self.D[i][i] for i in range(min(len(self.D), len(self.D[0])))]
+        return [row[i] for i, row in enumerate(self.D) if i < len(row)]
 
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
-
-    def verify(self, M) -> bool:
-        return self.failure(M) is None
-
-    def failure(self, M):
-        """The first condition of the certificate that fails for M, named
-        with its witness; None when U*M*V = D is a Smith normal form."""
-        UMV = mat_mul(mat_mul(self.U, M), self.V)
-        if UMV != self.D:
-            for i, (got, want) in enumerate(zip(UMV, self.D)):
-                for j, (g, w) in enumerate(zip(got, want)):
-                    if g != w:
-                        return f"(U*M*V)[{i}][{j}] = {g}, D[{i}][{j}] = {w}"
-            return "U*M*V and D have different shapes"
-        for name, T in (("U", self.U), ("V", self.V)):
-            det = determinant(T)
-            if abs(det) != 1:
-                return f"det {name} = {det}, not +-1"
-        diag = self.diagonal
-        for i, d in enumerate(diag):
-            if d < 0:
-                return f"negative diagonal entry D[{i}][{i}] = {d}"
-        for i, (a, b) in enumerate(zip(diag, diag[1:])):
-            if (a == 0 and b != 0) or (a != 0 and b % a != 0):
-                return f"D[{i}][{i}] = {a} does not divide D[{i + 1}][{i + 1}] = {b}"
-        for i, row in enumerate(self.D):
-            for j, v in enumerate(row):
-                if i != j and v != 0:
-                    return f"nonzero off-diagonal entry D[{i}][{j}] = {v}"
-        return None
 
 
 def smith_normal_form(M) -> SmithForm:

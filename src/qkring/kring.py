@@ -63,8 +63,6 @@ from .repring import GroupParams, RepElement, canonical_d, eta1, eta2, one, phi_
 
 Mono = tuple  # (a, b, c) exponents of v1, v2, phi
 
-PHI_TOP = "phi_top"
-
 
 # ---------------------------------------------------------------------------
 # formal polynomials
@@ -128,25 +126,9 @@ def fp_format(fp: dict) -> str:
 # relation set
 # ---------------------------------------------------------------------------
 
-class Relation(Record):
-    __slots__ = ("label",
-                 "lhs",  # ((mono, coeff), ...)
-                 "rhs")
-
-    def lhs_fp(self) -> dict:
-        return dict(self.lhs)
-
-    def rhs_fp(self) -> dict:
-        return dict(self.rhs)
-
-    def difference(self) -> dict:
-        return fp_sub(self.lhs_fp(), self.rhs_fp())
-
-    def __str__(self) -> str:
-        return f"{fp_format(self.lhs_fp())} = {fp_format(self.rhs_fp())}"
-
-
 class Rule(Record):
+    """The relation ``pattern = rhs``, oriented as a rewrite rule."""
+
     __slots__ = ("label",
                  "pattern",  # Mono
                  "rhs")  # ((mono, coeff), ...)
@@ -154,14 +136,21 @@ class Rule(Record):
     def applies_to(self, mono: Mono) -> bool:
         return all(m >= p for m, p in zip(mono, self.pattern))
 
+    def difference(self) -> dict:
+        """pattern - rhs, the relation moved to one side."""
+        return fp_sub({self.pattern: 1}, dict(self.rhs))
+
+    def __str__(self) -> str:
+        return f"{mono_name(self.pattern)} = {fp_format(dict(self.rhs))}"
+
 
 class RelationSet(Record):
     __slots__ = ("n", "k",
-                 "relations",  # presentation Relations 1, 2, 4, 5, 6
-                 "relation3",  # derived: g_{2k}(phi) = 0
-                 "rules")  # oriented rewrite rules, priority order
+                 "relations",  # presentation relations 1, 2, 4, 5, 6
+                 "relation3",  # derived: phi^(k+1) -> phi^(k+1) - g_{2k}(phi)
+                 "rules")  # the six oriented rewrite rules, priority order
 
-    def relation(self, label: str) -> Relation:
+    def relation(self, label: str) -> Rule:
         for r in self.relations:
             if r.label == label:
                 return r
@@ -189,24 +178,15 @@ def relations_for(n: int) -> RelationSet:
         rhs6 = fp_sum(fp_from_phipoly(psi_series(k)), {v2: -2})
 
     g = g_poly(k)
-    relations = (
-        Relation("relation1", _freeze({(2, 0, 0): 1}), _freeze(rhs1)),
-        Relation("relation2", _freeze({(0, 2, 0): 1}), _freeze(rhs2)),
-        Relation("relation4", _freeze({(1, 0, 1): 1}), _freeze(rhs4)),
-        Relation("relation5", _freeze({(0, 1, 1): 1}), _freeze(rhs5)),
-        Relation("relation6", _freeze({(1, 1, 0): 1}), _freeze(rhs6)),
-    )
-    relation3 = Relation("relation3", _freeze(fp_from_phipoly(g)), ())
-    # phi^(k+1) -> phi^(k+1) - g, the reduction that keeps phi-powers <= k
-    phi_top_rhs = {(0, 0, j): -g.coeff(j) for j in range(1, k + 1) if g.coeff(j)}
-    rules = (
-        Rule("relation4", (1, 0, 1), _freeze(rhs4)),
-        Rule("relation1", (2, 0, 0), _freeze(rhs1)),
-        Rule("relation5", (0, 1, 1), _freeze(rhs5)),
-        Rule("relation2", (0, 2, 0), _freeze(rhs2)),
-        Rule("relation6", (1, 1, 0), _freeze(rhs6)),
-        Rule(PHI_TOP, (0, 0, k + 1), _freeze(phi_top_rhs)),
-    )
+    relations = tuple(Rule(f"relation{i}", pattern, _freeze(rhs)) for i, pattern, rhs in (
+        (1, (2, 0, 0), rhs1), (2, (0, 2, 0), rhs2), (4, (1, 0, 1), rhs4),
+        (5, (0, 1, 1), rhs5), (6, (1, 1, 0), rhs6)))
+    r1, r2, r4, r5, r6 = relations
+    # phi^(k+1) -> phi^(k+1) - g, the reduction that keeps phi-powers <= k;
+    # g is monic of degree k+1, so the rule's difference is g exactly
+    relation3 = Rule("relation3", (0, 0, k + 1),
+                     _freeze({(0, 0, j): -g.coeff(j) for j in range(1, k + 1) if g.coeff(j)}))
+    rules = (r4, r1, r5, r2, r6, relation3)
     return RelationSet(n, k, relations, relation3, rules)
 
 
@@ -315,7 +295,7 @@ def _phi_operator(rhs: dict, k: int) -> list:
     the pairs (s, c) with phi * b_t = sum of c * b_s."""
     return ([((3, 1),), _sparse(rhs["relation4"]), _sparse(rhs["relation5"])]
             + [((3 + j, 1),) for j in range(1, k)]  # phi^j -> phi^(j+1)
-            + [_sparse(rhs[PHI_TOP])])
+            + [_sparse(rhs["relation3"])])
 
 
 def _table(n: int):

@@ -111,7 +111,7 @@ def verify_restriction_hom(n: int, trials: int = 25, seed: int = 0) -> Report:
 
     detail = ""
     for t, a, b in pairs():
-        image, product = restrict(multiply(a, b)), restrict(a) * restrict(b)
+        image, product = restrict(multiply(a, b)), lens_multiply(restrict(a), restrict(b))
         if image != product:
             # a basis element prints as its label
             name = f"{a}*{b}" if t is None else f"random trial {t} (a = {a}, b = {b})"

@@ -15,7 +15,6 @@ An independent character-table oracle certifies the relation-driven
 product: ``verify_orthogonality`` proves the exact Z[zeta]-valued table
 invertible, and ``verify_structure_constants`` then compares the character
 of each basis product with the pointwise product of characters.
-``decompose`` inverts ``character_of`` by inner products.
 
 Both certifiers work on the nonzero Z[zeta] terms of the table values
 (an irreducible value is an integer or zeta^a + zeta^-a, so it has at most
@@ -179,10 +178,6 @@ class ClassFunction(Record):
 
     __slots__ = ("params", "values")
 
-    def pointwise(self, other: "ClassFunction") -> "ClassFunction":
-        return ClassFunction(self.params,
-                             tuple(a * b for a, b in zip(self.values, other.values)))
-
 
 def class_sizes(params: GroupParams):
     return [1, 1] + [2] * (params.k - 1) + [params.k, params.k]
@@ -221,26 +216,6 @@ def character_table(params: GroupParams):
     return _character_table(params.n)
 
 
-def character_of(elem: RepElement) -> ClassFunction:
-    table = character_table(elem.params)
-    k = elem.params.k
-    values = [CyclotomicInt.zero(k) for _ in range(elem.params.basis_size)]
-    for coeff, chi in zip(elem.coeffs, table):
-        if coeff == 0:
-            continue
-        values = [acc + coeff * v for acc, v in zip(values, chi.values)]
-    return ClassFunction(elem.params, tuple(values))
-
-
-def inner_product(f: ClassFunction, g: ClassFunction) -> int:
-    """(1/|G|) sum over classes of |class| * f * conj(g); must be an integer."""
-    params = f.params
-    total = CyclotomicInt.zero(params.k)
-    for size, fv, gv in zip(class_sizes(params), f.values, g.values):
-        total = total + size * (fv * gv.conj())
-    return _inner_product_value(total, params)
-
-
 def _inner_product_value(total: CyclotomicInt, params: GroupParams) -> int:
     """total / |G|, where total is sum over classes of |class| * f * conj(g);
     the quotient must be an integer."""
@@ -251,12 +226,6 @@ def _inner_product_value(total: CyclotomicInt, params: GroupParams) -> int:
             f"inner product {value}/{params.group_order} is not an integer; "
             "the class function is not a virtual character")
     return q
-
-
-def decompose(f: ClassFunction) -> RepElement:
-    """Inverse of character_of, via orthogonality of irreducible characters."""
-    table = character_table(f.params)
-    return RepElement(f.params, tuple(inner_product(f, chi) for chi in table))
 
 
 @lru_cache(maxsize=None)
@@ -365,8 +334,8 @@ def verify_orthogonality(params: GroupParams) -> Report:
 
     Each entry sums |g| * chi_i(g) * conj(chi_j(g)) into one k-long integer
     vector, over the nonzero terms of both values and through the Z[zeta]
-    table, with chi_i on the left as in ``inner_product(chi_i, chi_j)``,
-    and then takes the quotient by |G| as ``inner_product`` does.
+    table, with chi_i(g) on the left of each product, and then takes the
+    quotient by |G| with ``_inner_product_value``.
     """
     terms, conjugates = _character_terms(params.n)
     zeta_table = intmath._ring(params.k).table

@@ -1,0 +1,135 @@
+"""Dense references that the tests compare the package against.
+
+None of this is run by a CLI verb, a certifier or a benchmark workload, so
+it lives with the tests and is not installed.  Each function is the plain
+textbook route to a value that the package computes another way:
+
+* ``horner`` evaluates a polynomial, a second route beside
+  ``kring.Substitution``;
+* ``chebyshev_t`` is the recurrence behind ``adams.psi_oracles``;
+* ``character_of``, ``pointwise``, ``inner_product`` and ``decompose`` are
+  the dense character calculus that ``repring``'s sparse certifiers replace;
+* ``smith_failure`` checks a ``SmithForm`` against its matrix.
+"""
+
+from itertools import islice
+
+from qkring import repring
+from qkring.adams import psi_oracles
+from qkring.intmath import CyclotomicInt, IntPoly
+from qkring.intmatrix import determinant
+from qkring.repring import ClassFunction, RepElement, character_table, class_sizes
+
+
+def horner(p: IntPoly, x):
+    """p(x) by Horner's scheme: acc = acc*x + c*x over the coefficients of
+    x^d, ..., x^1, then the constant term is added.
+
+    With a zero constant term only +, * and integer scaling are used, so x
+    may be an element of a ring whose unit is not at hand (a ring element, a
+    PhiPoly); int and Fraction work for any polynomial.
+    """
+    acc = 0 * x
+    for c in reversed(p.coeffs[1:]):
+        acc = acc * x + c * x if c else acc * x
+    return acc + p.coeffs[0] if p.coeff(0) else acc
+
+
+def chebyshev_t(i: int) -> IntPoly:
+    """t_i with t_0 = 2, t_1 = c, t_{i+1} = c*t_i - t_{i-1}, so that
+    t_i(z + 1/z) = z^i + z^-i."""
+    if i < 0:
+        raise ValueError("chebyshev_t requires i >= 0")
+    prev, cur = IntPoly.of(2), IntPoly.of(0, 1)
+    if i == 0:
+        return prev
+    x = IntPoly.of(0, 1)
+    for _ in range(i - 1):
+        prev, cur = cur, x * cur - prev
+    return cur
+
+
+def psi_oracle(i: int):
+    """psi^i, the i-th term of ``psi_oracles``; ValueError for i < 1."""
+    return next(islice(psi_oracles(), i - 1, None))
+
+
+def _zero(k: int) -> CyclotomicInt:
+    return CyclotomicInt(k, (0,) * k)
+
+
+def character_of(elem: RepElement) -> ClassFunction:
+    """The character of a virtual representation, summed row by row over
+    the whole character table."""
+    table = character_table(elem.params)
+    values = [_zero(elem.params.k) for _ in range(elem.params.basis_size)]
+    for coeff, chi in zip(elem.coeffs, table):
+        if coeff == 0:
+            continue
+        values = [acc + coeff * v for acc, v in zip(values, chi.values)]
+    return ClassFunction(elem.params, tuple(values))
+
+
+def pointwise(f: ClassFunction, g: ClassFunction) -> ClassFunction:
+    return ClassFunction(f.params, tuple(a * b for a, b in zip(f.values, g.values)))
+
+
+def inner_product(f: ClassFunction, g: ClassFunction) -> int:
+    """(1/|G|) sum over classes of |class| * f * conj(g); must be an integer."""
+    params = f.params
+    total = _zero(params.k)
+    for size, fv, gv in zip(class_sizes(params), f.values, g.values):
+        total = total + size * (fv * gv.conj())
+    return repring._inner_product_value(total, params)
+
+
+def decompose(f: ClassFunction) -> RepElement:
+    """Inverse of ``character_of``, via orthogonality of irreducible characters."""
+    table = character_table(f.params)
+    return RepElement(f.params, tuple(inner_product(f, chi) for chi in table))
+
+
+def mat_mul(A, B):
+    rows, inner, cols = len(A), len(B), len(B[0])
+    if any(len(r) != inner for r in A):
+        raise ValueError("incompatible shapes")
+    out = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        Ai = A[i]
+        for t in range(inner):
+            a = Ai[t]
+            if a == 0:
+                continue
+            Bt = B[t]
+            row = out[i]
+            for j in range(cols):
+                row[j] += a * Bt[j]
+    return out
+
+
+def smith_failure(snf, M):
+    """The first condition of the certificate U*M*V = D that fails for M,
+    named with its witness; None when ``snf`` is a Smith normal form of M."""
+    UMV = mat_mul(mat_mul(snf.U, M), snf.V)
+    if UMV != snf.D:
+        for i, (got, want) in enumerate(zip(UMV, snf.D)):
+            for j, (g, w) in enumerate(zip(got, want)):
+                if g != w:
+                    return f"(U*M*V)[{i}][{j}] = {g}, D[{i}][{j}] = {w}"
+        return "U*M*V and D have different shapes"
+    for name, T in (("U", snf.U), ("V", snf.V)):
+        det = determinant(T)
+        if abs(det) != 1:
+            return f"det {name} = {det}, not +-1"
+    diag = snf.diagonal
+    for i, d in enumerate(diag):
+        if d < 0:
+            return f"negative diagonal entry D[{i}][{i}] = {d}"
+    for i, (a, b) in enumerate(zip(diag, diag[1:])):
+        if (a == 0 and b != 0) or (a != 0 and b % a != 0):
+            return f"D[{i}][{i}] = {a} does not divide D[{i + 1}][{i + 1}] = {b}"
+    for i, row in enumerate(snf.D):
+        for j, v in enumerate(row):
+            if i != j and v != 0:
+                return f"nonzero off-diagonal entry D[{i}][{j}] = {v}"
+    return None

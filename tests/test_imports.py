@@ -1,14 +1,17 @@
 """The import graph: ``import qkring`` loads no submodule, each CLI verb
 loads exactly the modules it runs, and no qkring process loads
-``dataclasses`` or ``inspect``.
+``dataclasses`` or ``inspect``.  Every export is reached by code that a
+verb, a certifier or a benchmark workload runs.
 
 Each case starts a fresh interpreter, so modules that earlier tests
 imported do not count.  A new top-level import that pulls in another
 module fails here and names that module.
 """
 
+import ast
 import importlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,13 +21,13 @@ import pytest
 import qkring
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+BENCH = SRC.parent / "bench"
 
 # the package's exports, by home module
 EXPORTS = {
-    "adams": ["PhiPoly", "g_poly", "psi_oracle", "psi_oracles", "psi_series",
-              "verify_oracles"],
+    "adams": ["PhiPoly", "g_poly", "psi_oracles", "psi_series", "verify_oracles"],
     "cohomology": ["CohGroup", "consistency_report", "h_group", "predicted_reduced_order"],
-    "intmath": ["CyclotomicInt", "IntPoly", "binomial", "chebyshev_t"],
+    "intmath": ["CyclotomicInt", "IntPoly", "binomial"],
     "intmatrix": ["SmithForm", "determinant", "hermite_basis_mod", "smith_normal_form"],
     "kring": ["KElement", "MinimalityCertificate", "RelationSet", "basis_change_matrix",
               "embed_to_R", "minimality_certificates", "multiply_nf",
@@ -33,9 +36,8 @@ EXPORTS = {
               "verify_relations_in_R"],
     "lens": ["LensElement", "eta_power", "lens_multiply", "restrict",
              "verify_relations_vanish", "verify_restriction_hom", "w_element"],
-    "repring": ["ClassFunction", "GroupParams", "RepElement", "canonical_d", "character_of",
-                "character_table", "decompose", "inner_product", "multiply", "phi_element",
-                "verify_structure_constants"],
+    "repring": ["ClassFunction", "GroupParams", "RepElement", "canonical_d",
+                "character_table", "multiply", "phi_element", "verify_structure_constants"],
     "truncation": ["TruncatedQuotient", "corollary2_table", "order_of", "phi_order",
                    "torsion_order", "truncated_quotient"],
 }
@@ -97,9 +99,55 @@ def test_each_verb_loads_only_its_modules(argv, expected):
 
 def test_all_lists_every_export():
     names = sorted(name for names in EXPORTS.values() for name in names)
-    assert len(names) == 56
+    assert len(names) == 51
     assert sorted(qkring.__all__) == names
     assert set(names) <= set(dir(qkring))
+
+
+def _identifiers(node) -> set:
+    """Every name and attribute name used inside ``node``."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _reached_names() -> set:
+    """Identifiers reached from code that runs.
+
+    The roots are every identifier in ``bench/*.py``, the name part of each
+    ``"module.name"`` string there (a workload calls a function by such a
+    string), and the identifiers in the module-level statements of
+    ``src/qkring`` (``__init__``, the export map, left out).  A top-level
+    function or class of ``src/qkring`` is reached when its name is; the
+    identifiers inside its definition are then reached too.  Names are
+    matched without their module, so the scan may only over-count.
+    """
+    definitions, reached = {}, set()
+    for path in sorted((SRC / "qkring").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.setdefault(node.name, set()).update(_identifiers(node))
+            else:
+                reached |= _identifiers(node)
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reached |= _identifiers(tree)
+        reached |= {match[1] for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    if (match := re.fullmatch(r"\w+\.(\w+)", node.value))}
+    frontier = list(reached)
+    while frontier:
+        new = definitions.get(frontier.pop(), set()) - reached
+        reached |= new
+        frontier.extend(new)
+    return reached
+
+
+def test_every_export_is_reached_by_code_that_runs():
+    # an export that only tests call belongs in tests/reference.py
+    unreached = sorted(set(qkring.__all__) - _reached_names())
+    assert not unreached, f"exported but reached only from tests: {', '.join(unreached)}"
 
 
 @pytest.mark.parametrize("module_name", sorted(EXPORTS))

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkring.intmatrix import (SmithForm, determinant, hermite_basis_mod,
-                              identity_matrix, mat_mul, smith_normal_form)
+                              identity_matrix, smith_normal_form)
+from reference import mat_mul, smith_failure
 
 
 def test_snf_examples():
@@ -17,7 +18,7 @@ def test_snf_examples():
 def test_snf_verify_examples():
     for M in ([[2, 0], [0, 3]], [[12, 6, 4], [3, 9, 6], [2, 16, 14]],
               [[0, 0], [0, 0]], [[5]]):
-        assert smith_normal_form(M).verify(M)
+        assert smith_failure(smith_normal_form(M), M) is None
 
 
 def test_snf_known_value():
@@ -28,7 +29,7 @@ def test_snf_known_value():
 def test_snf_rectangular():
     M = [[2, 4, 6], [4, 8, 12]]
     snf = smith_normal_form(M)
-    assert snf.verify(M)
+    assert smith_failure(snf, M) is None
     assert snf.diagonal == [2, 0]
 
 
@@ -43,7 +44,18 @@ def _matrices(rows, cols):
 def test_snf_random(rows, cols, data):
     M = data.draw(_matrices(rows, cols))
     snf = smith_normal_form(M)
-    assert snf.verify(M)
+    assert smith_failure(snf, M) is None
+
+
+def test_empty_matrix_has_determinant_one():
+    # the empty product
+    assert determinant([]) == 1
+
+
+def test_empty_matrix_has_an_empty_smith_form():
+    snf = smith_normal_form([])
+    assert snf.diagonal == []
+    assert snf.rank() == 0
 
 
 def test_determinant_examples():
@@ -101,14 +113,14 @@ M3 = [[12, 6, 4], [3, 9, 6], [2, 16, 14]]
 
 def test_snf_failure_is_none_on_a_valid_certificate():
     for M in (M3, [[2, 4, 6], [4, 8, 12]], [[0, 0], [0, 0]]):
-        assert smith_normal_form(M).failure(M) is None
+        assert smith_failure(smith_normal_form(M), M) is None
 
 
 def test_snf_doubled_diagonal_entry_is_named():
     snf = smith_normal_form(M3)
     snf.D[2][2] *= 2
-    assert not snf.verify(M3)
-    assert snf.failure(M3) == "(U*M*V)[2][2] = 30, D[2][2] = 60"
+    assert smith_failure(snf, M3) is not None
+    assert smith_failure(snf, M3) == "(U*M*V)[2][2] = 30, D[2][2] = 60"
 
 
 def test_snf_perturbed_v_entry_is_named():
@@ -118,28 +130,29 @@ def test_snf_perturbed_v_entry_is_named():
     perturbed = mat_mul(mat_mul(snf.U, M3), snf.V)
     i, j = next((i, j) for i in range(3) for j in range(3)
                 if perturbed[i][j] != UMV[i][j])
-    assert not snf.verify(M3)
-    assert snf.failure(M3) == (f"(U*M*V)[{i}][{j}] = {perturbed[i][j]}, "
+    assert smith_failure(snf, M3) is not None
+    assert smith_failure(snf, M3) == (f"(U*M*V)[{i}][{j}] = {perturbed[i][j]}, "
                                f"D[{i}][{j}] = {UMV[i][j]}")
 
 
 def test_snf_failure_names_each_later_condition():
     # each certificate satisfies U*M*V = D and fails exactly one later condition
-    assert SmithForm([[2]], [[2]], [[1]]).failure([[1]]) == "det U = 2, not +-1"
-    assert SmithForm([[-3]], [[1]], [[-3]]).failure([[1]]) == "det V = -3, not +-1"
-    assert SmithForm([[-1]], [[1]], [[1]]).failure([[-1]]) == \
+    I2 = identity_matrix(2)
+    assert smith_failure(SmithForm([[2]], [[2]], [[1]]), [[1]]) == "det U = 2, not +-1"
+    assert smith_failure(SmithForm([[-3]], [[1]], [[-3]]), [[1]]) == "det V = -3, not +-1"
+    assert smith_failure(SmithForm([[-1]], [[1]], [[1]]), [[-1]]) == \
         "negative diagonal entry D[0][0] = -1"
-    assert SmithForm([[2, 0], [0, 3]], identity_matrix(2), identity_matrix(2)).failure(
-        [[2, 0], [0, 3]]) == "D[0][0] = 2 does not divide D[1][1] = 3"
-    assert SmithForm([[0, 0], [0, 1]], identity_matrix(2), identity_matrix(2)).failure(
-        [[0, 0], [0, 1]]) == "D[0][0] = 0 does not divide D[1][1] = 1"
-    assert SmithForm([[1, 5], [0, 1]], identity_matrix(2), identity_matrix(2)).failure(
-        [[1, 5], [0, 1]]) == "nonzero off-diagonal entry D[0][1] = 5"
+    assert smith_failure(SmithForm([[2, 0], [0, 3]], I2, I2), [[2, 0], [0, 3]]) == \
+        "D[0][0] = 2 does not divide D[1][1] = 3"
+    assert smith_failure(SmithForm([[0, 0], [0, 1]], I2, I2), [[0, 0], [0, 1]]) == \
+        "D[0][0] = 0 does not divide D[1][1] = 1"
+    assert smith_failure(SmithForm([[1, 5], [0, 1]], I2, I2), [[1, 5], [0, 1]]) == \
+        "nonzero off-diagonal entry D[0][1] = 5"
 
 
 def test_snf_failure_names_a_shape_mismatch():
     snf = SmithForm([[1, 0]], [[1]], [[1]])
-    assert snf.failure([[1]]) == "U*M*V and D have different shapes"
+    assert smith_failure(snf, [[1]]) == "U*M*V and D have different shapes"
 
 
 def _reduce_against(v, H):

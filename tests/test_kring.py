@@ -28,15 +28,15 @@ def ke(n, c0=0, v1=0, v2=0, phi=()):
 
 def test_relation_right_sides():
     r3 = relations_for(3)
-    assert r3.relation("relation6").rhs_fp() == {
+    assert dict(r3.relation("relation6").rhs) == {
         (0, 0, 2): 1, PHI: 4, V1: -2, V2: -2}
     r4 = relations_for(4)
-    assert r4.relation("relation6").rhs_fp() == {
+    assert dict(r4.relation("relation6").rhs) == {
         (0, 0, 4): 1, (0, 0, 3): 8, (0, 0, 2): 20, PHI: 16, V2: -2}
     for n in (3, 4, 5, 6):
-        assert relations_for(n).relation("relation4").rhs_fp() == {V1: -2}
+        assert dict(relations_for(n).relation("relation4").rhs) == {V1: -2}
     # relation 5 for n=4: psi^3(phi) - phi - 2*v2
-    assert r4.relation("relation5").rhs_fp() == {
+    assert dict(r4.relation("relation5").rhs) == {
         (0, 0, 3): 1, (0, 0, 2): 6, PHI: 8, V2: -2}
 
 
@@ -139,6 +139,19 @@ def test_relations_in_R(n):
     assert "relation3" in names
     if n >= 4:
         assert any(name.startswith(f"d_{GroupParams(n).k} - d_0") for name in names)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_each_relation_is_one_rule(n):
+    rset = relations_for(n)
+    assert [r.label for r in rset.relations] == [
+        "relation1", "relation2", "relation4", "relation5", "relation6"]
+    assert all(any(r is rule for rule in rset.rules) for r in rset.relations)
+    assert rset.rules[-1] is rset.relation3
+    assert rset.relation3.pattern == (0, 0, rset.k + 1)
+    # moved to one side, the phi^(k+1) rule is g_{2k}(phi) exactly
+    assert rset.relation3.difference() == fp_from_phipoly(g_poly(rset.k))
+    assert str(rset.relation("relation4")) == "v1*phi = -2*v1"
 
 
 def test_relations_in_R_check_count():

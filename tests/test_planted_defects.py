@@ -13,6 +13,7 @@ import pytest
 
 from qkring import adams, cli, cohomology, intmath, kring, lens, repring, truncation
 from qkring.repring import GroupParams
+from reference import character_of, inner_product, pointwise
 
 
 @pytest.fixture
@@ -303,7 +304,7 @@ def dense_gram_checks(table):
     for i, f in enumerate(table):
         for j, g in enumerate(table):
             try:
-                value = repring.inner_product(f, g)
+                value = inner_product(f, g)
                 out.append((value == (1 if i == j else 0), f"value {value}"))
             except ValueError as exc:
                 out.append((False, str(exc)))
@@ -325,7 +326,7 @@ def test_cyclotomic_defect_fails_orthogonality_n6(plant):
     assert all(c.witness for c in failures)
     # the structure constants multiply chi_i(g) * chi_j(g) in that order too
     basis = repring.basis_elements(params)
-    verdicts = [repring.character_of(a * b) == fa.pointwise(fb)
+    verdicts = [character_of(a * b) == pointwise(fa, fb)
                 for a, fa in zip(basis, table) for b, fb in zip(basis, table)]
     checks = repring.verify_structure_constants(params).checks
     assert [c.passed for c in checks] == verdicts and not all(verdicts)
@@ -345,7 +346,7 @@ def test_structure_verdicts_hold_when_a_defect_matches_the_true_code_width(
     monkeypatch.setitem(vars(ring), "table", table)
     characters = repring.character_table(params)
     basis = repring.basis_elements(params)
-    verdicts = [repring.character_of(a * b) == fa.pointwise(fb)
+    verdicts = [character_of(a * b) == pointwise(fa, fb)
                 for a, fa in zip(basis, characters) for b, fb in zip(basis, characters)]
     checks = repring.verify_structure_constants(params).checks
     assert [c.passed for c in checks] == verdicts and not all(verdicts)

@@ -12,8 +12,8 @@ from qkring.cohomology import CohGroup, consistency_report
 from qkring.freemodule import Element, Ring
 from qkring.intmath import CyclotomicInt, IntPoly
 from qkring.intmatrix import SmithForm, smith_normal_form
-from qkring.kring import MinimalityCertificate, Relation, RelationSet, relations_for
-from qkring.report import Check, Report
+from qkring.kring import MinimalityCertificate, RelationSet, relations_for
+from qkring.report import Check, Record, Report
 from qkring.repring import ClassFunction, GroupParams, RepElement
 from qkring.truncation import TableCell, truncated_quotient
 
@@ -31,7 +31,6 @@ def records():
         Report("t", (Check("a", False, "x"),)),
         GroupParams(3),
         ClassFunction(GroupParams(3), (CyclotomicInt.from_int(2, 1),)),
-        rset.relations[0],
         rset.rules[0],
         rset,
         MinimalityCertificate("relation1", 1, 2, {(1, 0, 0): 1}),
@@ -113,6 +112,12 @@ def test_group_params_key_an_lru_cache():
     assert calls == [4, 5]
 
 
+class OtherRule(Record):
+    """A record with the fields of ``kring.Rule``, of another class."""
+
+    __slots__ = ("label", "pattern", "rhs")
+
+
 def test_different_classes_with_equal_fields_are_unequal():
     ring = intmath._ring(2)
     assert Element(ring, (1, 0)) != CyclotomicInt(2, (1, 0))
@@ -120,7 +125,7 @@ def test_different_classes_with_equal_fields_are_unequal():
     assert IntPoly((0, 4, 1)) != PhiPoly.of(4, 1)
     assert PhiPoly.of(4, 1) != IntPoly((0, 4, 1))
     rule = relations_for(3).rules[0]
-    assert Relation(rule.label, rule.pattern, rule.rhs) != rule
+    assert OtherRule(rule.label, rule.pattern, rule.rhs) != rule
     assert Check("a", True) != ("a", True, "")
 
 
@@ -165,9 +170,10 @@ def test_repr_text():
             == "ClassFunction(params=GroupParams(n=3), values=(CyclotomicInt("
                "ring=Ring(name='Z[zeta_4]'), coeffs=(1, 0)),))")
     rset = relations_for(3)
-    relation = ("Relation(label='relation1', lhs=(((2, 0, 0), 1),), "
-                "rhs=(((1, 0, 0), -2),))")
+    relation = "Rule(label='relation1', pattern=(2, 0, 0), rhs=(((1, 0, 0), -2),))"
     assert repr(rset.relations[0]) == relation
+    assert (repr(rset.relation3)
+            == "Rule(label='relation3', pattern=(0, 0, 3), rhs=(((0, 0, 1), -8), ((0, 0, 2), -6)))")
     assert (repr(rset.rules[0])
             == "Rule(label='relation4', pattern=(1, 0, 1), rhs=(((1, 0, 0), -2),))")
     assert (repr(RelationSet(3, 2, (), rset.relations[0], ()))

@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 _MODULES = {
     "adams": ("PhiPoly", "g_poly", "psi_oracles", "psi_series",
               "verify_oracles"),
-    "cohomology": ("CohGroup", "consistency_report", "h_group", "predicted_reduced_order"),
+    "cohomology": ("CohGroup", "h_group", "predicted_reduced_order"),
     "intmath": ("CyclotomicInt", "IntPoly", "binomial"),
     "intmatrix": ("SmithForm", "determinant", "hermite_basis_mod", "smith_normal_form"),
     "kring": ("KElement", "MinimalityCertificate", "RelationSet", "basis_change_matrix",
@@ -27,8 +27,8 @@ _MODULES = {
              "verify_relations_vanish", "verify_restriction_hom", "w_element"),
     "repring": ("ClassFunction", "GroupParams", "RepElement", "canonical_d",
                 "character_table", "multiply", "phi_element", "verify_structure_constants"),
-    "truncation": ("TruncatedQuotient", "corollary2_table", "order_of", "phi_order",
-                   "torsion_order", "truncated_quotient"),
+    "truncation": ("TruncatedQuotient", "consistency_report", "corollary2_table", "order_of",
+                   "phi_order", "torsion_order", "truncated_quotient"),
 }
 _HOME = {name: module for module, names in _MODULES.items() for name in names}
 

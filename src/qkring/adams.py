@@ -30,7 +30,7 @@ class PhiPoly(IntPoly):
     """Integer polynomial in phi with zero constant term; coeffs[j] goes with
     phi^j, so coeffs[0] is always 0 (or coeffs is empty).
 
-    All arithmetic, ``coeff``, ``degree`` and ``compose`` are IntPoly's;
+    All arithmetic, ``coeff`` and ``compose`` are IntPoly's;
     they return PhiPoly, and this class only checks the constant.
     """
 

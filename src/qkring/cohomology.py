@@ -13,16 +13,13 @@ differential from torsion.  So the Atiyah-Hirzebruch spectral sequence
 collapses, and the reduced K^0 has order prod |H^(2j)| over
 2 <= 2j <= 4M+2.  The truncation of index N, R/phi^(N+2) R, is the case
 M = N+1, so its torsion order must equal the product through degree 4N+6.
-``consistency_report`` checks that identity, which tests the lattice index
-D, and the order of phi.
+``truncation.consistency_report`` checks that identity, which tests the
+lattice index D, and the order of phi.
 """
 
 from __future__ import annotations
 
 from .report import Record
-from .repring import GroupParams, phi_element
-from .truncation import (expected_phi_order, order_of, pow2_str, torsion_order,
-                         truncated_quotient)
 
 
 class CohGroup(Record):
@@ -77,61 +74,3 @@ def predicted_reduced_order(N: int, k: int) -> int:
     for p in range(2, 4 * N + 3, 2):
         out *= h_group(p, k).order()
     return out
-
-
-class ConsistencyReport(Record):
-    """order(phi) in R/phi^(N+2) R against 2^(n+2N), and the torsion order of
-    that quotient against the cohomology product through degree 4N+6."""
-
-    __slots__ = ("n", "N", "phi_order", "phi_expected", "torsion",
-                 "predicted")  # product of |H^(2j)| over 2 <= 2j <= 4N+6
-
-    @property
-    def phi_match(self) -> bool:
-        return self.phi_order == self.phi_expected
-
-    @property
-    def torsion_match(self) -> bool:
-        return self.torsion == self.predicted
-
-    @property
-    def passed(self) -> bool:
-        return self.phi_match and self.torsion_match
-
-    def lines(self):
-        return [
-            f"order(phi): computed {pow2_str(self.phi_order)}, "
-            f"expected 2^(n+2N) = {pow2_str(self.phi_expected)}, "
-            f"match: {'yes' if self.phi_match else 'NO'}",
-            f"reduced torsion of the truncation: {self.torsion}",
-            f"cohomology product through degree {4 * self.N + 6}: {self.predicted}, "
-            f"match: {'yes' if self.torsion_match else 'NO'}",
-        ]
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "N": self.N,
-            "phi_order": pow2_str(self.phi_order),
-            "phi_expected": pow2_str(self.phi_expected),
-            "phi_match": self.phi_match,
-            "torsion": str(self.torsion),
-            "cohomology_degree": 4 * self.N + 6,
-            "cohomology_product": str(self.predicted),
-            "torsion_match": self.torsion_match,
-        }
-
-
-def consistency_report(n: int, N: int) -> ConsistencyReport:
-    """Check the truncated ring of index N against 2^(n+2N) and against the
-    cohomology of S^(4N+7)/Q_{4k}, the space whose K^0 it is."""
-    params = GroupParams(n)
-    q = truncated_quotient(n, N)
-    return ConsistencyReport(
-        n=n,
-        N=N,
-        phi_order=order_of(phi_element(params), q),
-        phi_expected=expected_phi_order(n, N),
-        torsion=torsion_order(q),
-        predicted=predicted_reduced_order(N + 1, params.k),
-    )

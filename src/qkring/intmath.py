@@ -43,10 +43,6 @@ class IntPoly(Record):
     def of(cls, *coeffs: int) -> "IntPoly":
         return cls(coeffs)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def coeff(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
@@ -129,10 +125,6 @@ class CyclotomicInt(Element):
     @property
     def k(self) -> int:
         return self.ring.param
-
-    @classmethod
-    def one(cls, k: int) -> "CyclotomicInt":
-        return cls.from_int(k, 1)
 
     @classmethod
     def from_int(cls, k: int, value: int) -> "CyclotomicInt":

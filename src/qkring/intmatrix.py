@@ -114,9 +114,6 @@ class SmithForm(Record):
     def diagonal(self):
         return [row[i] for i, row in enumerate(self.D) if i < len(row)]
 
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal if d != 0)
-
 
 def smith_normal_form(M) -> SmithForm:
     """Diagonalize an integer matrix by unimodular row/column operations."""

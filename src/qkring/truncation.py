@@ -4,8 +4,8 @@ In the quotient of index N the powers phi, ..., phi^(N+1) survive and
 phi^(N+2) is killed, so the N = 0 column reproduces the order 4k of phi in
 R/phi^2 R, and the order of phi is 2^(n+2N).  By Atiyah's theorem,
 K^0(S^(4M+3)/Q_{4k}) = R(Q_{4k}) / (phi^(M+1)), so the quotient of index N
-is K^0(S^(4N+7)/Q_{4k}); ``cohomology`` checks its torsion order against
-that space's cohomology.
+is K^0(S^(4N+7)/Q_{4k}); ``consistency_report`` checks its torsion order
+against that space's cohomology, which ``cohomology`` tabulates.
 
 The ideal is encoded as the integer lattice spanned by phi^(N+2) * b over
 the k+3 basis elements b.  Every such row has dimension 0, because phi
@@ -33,10 +33,6 @@ class TruncatedQuotient(Record):
                  "lattice",  # rows: phi^(N+2) * b in irreducible-basis coordinates
                  "basis",  # reduced Hermite basis of the lattice in coordinates 1..k+2
                  "snf")  # SmithForm of ``basis``
-
-    @property
-    def size(self) -> int:
-        return self.params.basis_size
 
 
 def truncated_quotient(n: int, N: int) -> TruncatedQuotient:
@@ -134,3 +130,63 @@ def corollary2_table(n_max: int, N_max: int):
 def table_cell(n: int, N: int) -> TableCell:
     """order(phi) in the truncation of index N, with its expected value."""
     return TableCell(n, N, phi_order(n, N), expected_phi_order(n, N))
+
+
+class ConsistencyReport(Record):
+    """order(phi) in R/phi^(N+2) R against 2^(n+2N), and the torsion order of
+    that quotient against the cohomology product through degree 4N+6."""
+
+    __slots__ = ("n", "N", "phi_order", "phi_expected", "torsion",
+                 "predicted")  # product of |H^(2j)| over 2 <= 2j <= 4N+6
+
+    @property
+    def phi_match(self) -> bool:
+        return self.phi_order == self.phi_expected
+
+    @property
+    def torsion_match(self) -> bool:
+        return self.torsion == self.predicted
+
+    @property
+    def passed(self) -> bool:
+        return self.phi_match and self.torsion_match
+
+    def lines(self):
+        return [
+            f"order(phi): computed {pow2_str(self.phi_order)}, "
+            f"expected 2^(n+2N) = {pow2_str(self.phi_expected)}, "
+            f"match: {'yes' if self.phi_match else 'NO'}",
+            f"reduced torsion of the truncation: {self.torsion}",
+            f"cohomology product through degree {4 * self.N + 6}: {self.predicted}, "
+            f"match: {'yes' if self.torsion_match else 'NO'}",
+        ]
+
+    def to_json(self) -> dict:
+        return {
+            "n": self.n,
+            "N": self.N,
+            "phi_order": pow2_str(self.phi_order),
+            "phi_expected": pow2_str(self.phi_expected),
+            "phi_match": self.phi_match,
+            "torsion": str(self.torsion),
+            "cohomology_degree": 4 * self.N + 6,
+            "cohomology_product": str(self.predicted),
+            "torsion_match": self.torsion_match,
+        }
+
+
+def consistency_report(n: int, N: int) -> ConsistencyReport:
+    """Check the truncated ring of index N against 2^(n+2N) and against the
+    cohomology of S^(4N+7)/Q_{4k}, the space whose K^0 it is."""
+    from .cohomology import predicted_reduced_order  # order and table never load it
+
+    params = GroupParams(n)
+    q = truncated_quotient(n, N)
+    return ConsistencyReport(
+        n=n,
+        N=N,
+        phi_order=order_of(phi_element(params), q),
+        phi_expected=expected_phi_order(n, N),
+        torsion=torsion_order(q),
+        predicted=predicted_reduced_order(N + 1, params.k),
+    )

@@ -10,7 +10,7 @@ import subprocess
 import sys
 import time
 
-from qkring import adams, cohomology, kring, lens, repring, truncation
+from qkring import adams, kring, lens, repring, truncation
 from qkring.repring import GroupParams
 from reference import psi_oracle
 
@@ -105,7 +105,7 @@ def test_criterion_10_consistency_reports():
     ok = True
     for n in range(3, 7):
         for N in range(2):
-            report = cohomology.consistency_report(n, N)
+            report = truncation.consistency_report(n, N)
             ok = ok and report.phi_match and report.torsion_match
             print(f"  consistency (n={n}, N={N}): torsion {report.torsion} vs "
                   f"cohomology product through degree {4 * N + 6} {report.predicted} "

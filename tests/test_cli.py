@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from qkring import cli
+
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "qkring", *args],
@@ -126,3 +128,33 @@ def test_adversarial_flags_do_not_crash():
         result = run_cli(*args)
         assert result.returncode in (1, 2)
         assert "Traceback" not in result.stderr
+
+
+# each integer option: lowest and highest accepted value, and the message
+# _validate gives outside them
+BOUNDS = {
+    "--n": (3, 10, "--n must be in [3, 10]"),
+    "--N": (0, 16, "--N must be in [0, 16]"),
+    "--i": (1, 512, "--i must be in [1, 512]"),
+    "--k": (2, 512, "--k must be in [2, 512]"),
+    "--p": (0, 10 ** 6, "--p must be in [0, 10^6]"),
+    "--n-max": (3, 10, "--n-max must be in [3, 10]"),
+    "--N-max": (0, 16, "--N-max must be in [0, 16]"),
+}
+TAKES = {"present": ["--n"], "verify": ["--n"], "order": ["--n", "--N"],
+         "table": ["--n-max", "--N-max"], "adams": ["--i"], "g": ["--k"],
+         "cohomology": ["--p", "--k"], "consistency": ["--n", "--N"]}
+VERB_OPTIONS = [(verb, option) for verb, options in TAKES.items() for option in options]
+
+
+@pytest.mark.parametrize("verb,option", VERB_OPTIONS,
+                         ids=[f"{verb}{option}" for verb, option in VERB_OPTIONS])
+def test_bounds_of_every_option_of_every_verb(verb, option):
+    # only argument parsing runs, so the largest values cost nothing
+    low, high, message = BOUNDS[option]
+    others = [arg for other in TAKES[verb] if other != option
+              for arg in (other, str(BOUNDS[other][0]))]
+    for value, expected in ((low - 1, message), (low, None), (high, None),
+                            (high + 1, message)):
+        args = cli.build_parser().parse_args([verb, option, str(value), *others])
+        assert cli._validate(args) == expected, (verb, option, value)

@@ -1,7 +1,7 @@
 import pytest
 
-from qkring.cohomology import (CohGroup, consistency_report, h_group,
-                               predicted_reduced_order)
+from qkring.cohomology import CohGroup, h_group, predicted_reduced_order
+from qkring.truncation import consistency_report
 
 
 def test_table_values():

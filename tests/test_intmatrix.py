@@ -55,7 +55,7 @@ def test_empty_matrix_has_determinant_one():
 def test_empty_matrix_has_an_empty_smith_form():
     snf = smith_normal_form([])
     assert snf.diagonal == []
-    assert snf.rank() == 0
+    assert sum(1 for d in snf.diagonal if d != 0) == 0
 
 
 def test_determinant_examples():

@@ -11,7 +11,7 @@ import re
 
 import pytest
 
-from qkring import adams, cli, cohomology, intmath, kring, lens, repring, truncation
+from qkring import adams, cli, intmath, kring, lens, repring, truncation
 from qkring.repring import GroupParams
 from reference import character_of, inner_product, pointwise
 
@@ -235,7 +235,7 @@ def test_restriction_random_trial_is_named(monkeypatch):
         return image + lens.lens_one(r.params.k) if max(map(abs, r.coeffs)) > 20 else image
 
     monkeypatch.setattr(lens, "restrict", planted)
-    report = lens.verify_restriction_hom(3, trials=5, seed=1)
+    report = lens.verify_restriction_hom(3, seed=1)
     witness = report.checks[0].witness
     assert re.fullmatch(r"random trial 0 \(a = .+, b = .+\): restrict\(a\*b\) = .+, "
                         r"restrict\(a\)\*restrict\(b\) = .+", witness), witness
@@ -402,7 +402,7 @@ def test_doubled_lattice_row_fails_the_torsion_identity(monkeypatch, capsys):
     true_basis = truncation.basis_elements
     monkeypatch.setattr(truncation, "basis_elements", lambda params: [
         2 * b if i == 5 else b for i, b in enumerate(true_basis(params))])
-    report = cohomology.consistency_report(4, 0)
+    report = truncation.consistency_report(4, 0)
     assert report.phi_match and not report.torsion_match
     assert cli.main(["consistency", "--n", "4", "--N", "0"]) == 1
     assert capsys.readouterr().out.splitlines()[1:] == [

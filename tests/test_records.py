@@ -8,14 +8,14 @@ import pytest
 
 from qkring import intmath
 from qkring.adams import PhiPoly
-from qkring.cohomology import CohGroup, consistency_report
+from qkring.cohomology import CohGroup
 from qkring.freemodule import Element, Ring
 from qkring.intmath import CyclotomicInt, IntPoly
 from qkring.intmatrix import SmithForm, smith_normal_form
 from qkring.kring import MinimalityCertificate, RelationSet, relations_for
 from qkring.report import Check, Record, Report
 from qkring.repring import ClassFunction, GroupParams, RepElement
-from qkring.truncation import TableCell, truncated_quotient
+from qkring.truncation import TableCell, consistency_report, truncated_quotient
 
 
 def records():

@@ -143,9 +143,10 @@ def _cmd_consistency(args):
 
 
 # Values outside these bounds exit with 2; the library itself is unbounded.
-# The largest runs inside them, two runs each on a 2-core Xeon VM with
-# Python 3.11.7: the whole grid, table --n-max 10 --N-max 16, 60-61 s at
-# 24 MB peak RSS, and verify --n 10 --suite all 120-123 s at 366 MB.
+# The largest runs inside them, on a 2-core VM with Python 3.11.7 and no
+# bytecode cache: the whole grid, table --n-max 10 --N-max 16, 9.6-11.4 s at
+# 23 MB peak RSS (three runs), and verify --n 10 --suite all 82-85 s at 341 MB
+# (two runs).
 # option: (lowest, highest, highest as printed, default or None if required)
 OPTIONS = {
     "--n": (3, 10, "10", None),
@@ -182,8 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
     for verb, (help_line, handler, options) in VERBS.items():
         p = sub.add_parser(verb, help=help_line)
         for option in options:
-            default = OPTIONS[option][3]
-            p.add_argument(option, type=int, required=default is None, default=default)
+            low, _, printed, default = OPTIONS[option]
+            bounds = f"in [{low}, {printed}]"
+            p.add_argument(option, type=int, required=default is None, default=default,
+                           help=bounds if default is None else f"{bounds}, default {default}")
         if verb == "verify":
             p.add_argument("--suite", choices=SUITES, default="all")
         p.add_argument("--format", choices=("text", "json"), default="text")

@@ -97,10 +97,10 @@ def _ring(k: int) -> Ring:
     if k < 1:
         raise ValueError("k must be >= 1")
     labels = ["1"] + ["z" if j == 1 else f"z^{j}" for j in range(1, k)]
-    # zeta^i * zeta^j = zeta^(i + j), and zeta^k = -1 is the one and only rule
+    # zeta^i * zeta^j = zeta^(i + j), and zeta^k = -1 is the one and only rule,
+    # so row i is a slice of the powers, and the rows share entries
     powers = [((e, 1),) for e in range(k)] + [((e, -1),) for e in range(k)]
-    return Ring(f"Z[zeta_{2 * k}]", k, labels,
-                lambda: [[powers[i + j] for j in range(k)] for i in range(k)])
+    return Ring(f"Z[zeta_{2 * k}]", k, labels, lambda: [powers[i:i + k] for i in range(k)])
 
 
 class CyclotomicInt(Element):

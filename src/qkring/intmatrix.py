@@ -1,65 +1,79 @@
-"""Exact integer matrices: Smith normal form with transforms, determinants,
-and Hermite bases modulo a multiple of the lattice index.
+"""Exact integer matrices: Bareiss determinants with deferred row scaling,
+and Hermite bases modulo a multiple of the lattice index and Smith normal
+forms with transforms, which both eliminate by the unimodular step
+[[x, y], [-b/g, a/g]] from the extended gcd of a pivot a and an entry b
+(Cohen, GTM 138, Algorithm 2.4.14).  Matrices are dense lists of lists of
+Python ints, at most (k+3) x (k+3) with k <= 256 from the CLI.
 
-All matrices are dense lists of lists of Python ints, at most (k+3) x (k+3)
-with k <= 256 from the CLI.  Smallest-pivot elimination does not bound the
-size of the transforms by itself, so the truncation layer never factors a
-raw lattice: it factors the reduced Hermite basis from ``hermite_basis_mod``,
-whose above-diagonal entries lie below their column's pivot.  Over the whole
-CLI grid (n <= 10, N <= 16) the entries of D, U and V then stay under 64 bits.
+Elimination does not bound the transforms by itself, so the truncation layer
+never factors a raw lattice: it factors the reduced Hermite basis, whose
+above-diagonal entries lie below their column's pivot.  Over the whole CLI
+grid (n <= 10, N <= 16) the entries of D, U and V then stay under 64 bits.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 from .report import Record
 
 
 def identity_matrix(n: int):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
 def determinant(A) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination.
 
-    Row i is left as it is at step t when its multiplier M[i][t] is 0 and
-    the pivot equals the previous one, because (x*p - 0*y) // p is x.  A
-    row with a zero multiplier under a new pivot is still rescaled.  The
-    0 x 0 matrix has the empty product, 1, as its determinant.
+    Step t takes row i to (M[i] * p_t - M[i][t] * M[t]) / p_(t-1), with p_t
+    the t-th pivot and p_(-1) = 1.  Where M[i][t] = 0 that only rescales the
+    row, and over steps s..t-1 the rescalings telescope to p_(t-1) / p_(s-1).
+    So a row is left as it is until its multiplier is nonzero, and then
+    divided by p_(s-1) in place of p_(t-1), or until it is the pivot row, and
+    then brought up by one exact division.  The 0 x 0 determinant is 1.
     """
     n = len(A)
     if any(len(r) != n for r in A):
         raise ValueError("determinant requires a square matrix")
     M = [row[:] for row in A]
-    sign = 1
-    prev = 1
-    for t in range(n - 1):
+    owed = [1] * n  # before step t, Bareiss's row i is M[i] * p_(t-1) / owed[i]
+    sign = prev = 1
+    for t in range(n):
         if M[t][t] == 0:
-            for i in range(t + 1, n):
-                if M[i][t] != 0:
-                    M[t], M[i] = M[i], M[t]
-                    sign = -sign
-                    break
-            else:
+            i = next((i for i in range(t + 1, n) if M[i][t]), None)
+            if i is None:
                 return 0
-        pivot = M[t][t]
+            M[t], M[i], owed[t], owed[i] = M[i], M[t], owed[i], owed[t]
+            sign = -sign
+        if owed[t] != prev:
+            M[t] = [x * prev // owed[t] for x in M[t]]
+        row, prev = M[t], M[t][t]
         for i in range(t + 1, n):
-            if M[i][t] == 0 and pivot == prev:
-                continue
-            for j in range(t + 1, n):
-                M[i][j] = (M[i][j] * pivot - M[i][t] * M[t][j]) // prev
-            M[i][t] = 0
-        prev = pivot
-    return sign * M[n - 1][n - 1] if n else 1
+            m, d = M[i][t], owed[i]
+            if m:
+                M[i] = [(x * prev - m * y) // d for x, y in zip(M[i], row)]
+                owed[i] = prev
+    return sign * prev
 
 
 def _xgcd(a: int, b: int):
-    """(g, x, y) with g = gcd(a, b) = x*a + y*b, for a > 0 and b >= 0."""
+    """(g, x, y) with g = gcd(a, b) = x*a + y*b >= 0, for a != 0.  When a
+    divides b it is (|a|, +-1, 0), so that ``_step`` only clears b: for (1, 1)
+    the Euclidean loop alone gives (0, 1), a step that swaps two rows."""
+    if b % a == 0:
+        return (a, 1, 0) if a > 0 else (-a, -1, 0)
     x0, x1, y0, y1 = 1, 0, 0, 1
     while b:
         q, a, b = a // b, b, a % b
         x0, x1 = x1, x0 - q * x1
         y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
+    return (a, x0, y0) if a > 0 else (-a, -x0, -y0)
+
+
+def _step(a: int, b: int):
+    """(x, y, c, d), the unimodular [[x, y], [-b/g, a/g]] taking (a, b) to (g, 0)."""
+    g, x, y = _xgcd(a, b)
+    return x, y, -b // g, a // g
 
 
 def hermite_basis_mod(rows, modulus: int):
@@ -81,16 +95,11 @@ def hermite_basis_mod(rows, modulus: int):
         pivot = [0] * m
         pivot[j] = modulus
         for row in work:
-            b = row[j]
-            if not b:
-                continue
-            a = pivot[j]
-            # unimodular [[x, y], [-b/g, a/g]] takes (a, b) in column j to (g, 0)
-            g, x, y = _xgcd(a, b)
-            a, b = a // g, b // g
-            pivot[j:], row[j:] = (
-                [g] + [(x * p + y * r) % modulus for p, r in zip(pivot[j + 1:], row[j + 1:])],
-                [0] + [(a * r - b * p) % modulus for p, r in zip(pivot[j + 1:], row[j + 1:])])
+            if row[j]:
+                x, y, c, d = _step(pivot[j], row[j])
+                pivot[j:], row[j:] = (
+                    [(x * p + y * r) % modulus for p, r in zip(pivot[j:], row[j:])],
+                    [(c * p + d * r) % modulus for p, r in zip(pivot[j:], row[j:])])
         H.append(pivot)
     # bottom-up, so each row subtracts only rows that are already reduced
     for i in range(m - 2, -1, -1):
@@ -115,87 +124,65 @@ class SmithForm(Record):
         return [row[i] for i, row in enumerate(self.D) if i < len(row)]
 
 
+def _mix(P, Q, x, y, c, d):
+    """The rows x*P + y*Q and c*P + d*Q; P itself when (x, y) = (1, 0)."""
+    first = P if x == 1 and y == 0 else [x * p + y * q for p, q in zip(P, Q)]
+    return first, [c * p + d * q for p, q in zip(P, Q)]
+
+
 def smith_normal_form(M) -> SmithForm:
-    """Diagonalize an integer matrix by unimodular row/column operations."""
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
+    """Diagonalize an integer matrix by unimodular row and column steps.
+
+    For each t the smallest nonzero entry of the trailing block, the first in
+    row-major order, becomes the pivot and is made positive.  Row steps clear
+    its column and column steps its row until both stay clear; a pivot above
+    1 that fails to divide an entry of a lower row takes that row into row t,
+    and the clearing repeats."""
+    rows, cols = len(M), len(M[0]) if M else 0
     if any(len(r) != cols for r in M):
         raise ValueError("ragged matrix")
     A = [list(row) for row in M]
     U = identity_matrix(rows)
-    V = identity_matrix(cols)
+    W = identity_matrix(cols)  # V transposed, so column steps act on its rows
 
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
+    def row_step(i, step):
+        A[t], A[i] = _mix(A[t], A[i], *step)
+        U[t], U[i] = _mix(U[t], U[i], *step)
 
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        # row_dst -= q * row_src
-        A[dst] = [a - q * b for a, b in zip(A[dst], A[src])]
-        U[dst] = [a - q * b for a, b in zip(U[dst], U[src])]
-
-    def add_col(dst, src, q):
-        for row in A:
-            row[dst] -= q * row[src]
-        for row in V:
-            row[dst] -= q * row[src]
-
-    def negate_row(i):
-        A[i] = [-a for a in A[i]]
-        U[i] = [-a for a in U[i]]
-
-    t = 0
-    while t < min(rows, cols):
-        # smallest nonzero entry of the trailing block becomes the pivot
-        piv = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = A[i][j]
-                if v and (piv is None or abs(v) < abs(A[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            if A[t][t] < 0:
-                negate_row(t)
-            dirty = False
-            for i in range(rows):
-                if i != t and A[i][t]:
-                    add_row(i, t, A[i][t] // A[t][t])
-                    if A[i][t]:  # remainder becomes the new, smaller pivot
-                        swap_rows(t, i)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(cols):
-                if j != t and A[t][j]:
-                    add_col(j, t, A[t][j] // A[t][t])
-                    if A[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # pivot must divide every remaining entry, so the diagonal chains
-            bad = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if A[i][j] % A[t][t]:
-                        bad = i
-                        break
-                if bad is not None:
+    for t in range(min(rows, cols)):
+        least, i = 0, None
+        for r in range(t, rows):  # rows t.. are zero left of column t
+            m = min(map(abs, filter(None, A[r])), default=0)
+            if m and (not least or m < least):
+                least, i = m, r
+                if m == 1:
                     break
-            if bad is None:
-                break
-            add_row(t, bad, -1)  # pull the offending row into the pivot row
-        t += 1
-    return SmithForm(A, U, V)
+        if i is None:
+            break
+        j = list(map(abs, A[i])).index(least)
+        A[t], A[i], U[t], U[i] = A[i], A[t], U[i], U[t]
+        for row in A[t:]:
+            row[t], row[j] = row[j], row[t]
+        W[t], W[j] = W[j], W[t]
+        if A[t][t] < 0:
+            A[t], U[t] = [-v for v in A[t]], [-v for v in U[t]]
+        while True:
+            for i in range(t + 1, rows):
+                if A[i][t]:
+                    row_step(i, _step(A[t][t], A[i][t]))
+            for j in range(t + 1, cols):
+                if A[t][j]:
+                    x, y, c, d = step = _step(A[t][t], A[t][j])
+                    # column t is clear below row t, so a step with y = 0 changes row t alone
+                    for row in A[t:] if y else A[t:t + 1]:
+                        row[t], row[j] = x * row[t] + y * row[j], c * row[t] + d * row[j]
+                    W[t], W[j] = _mix(W[t], W[j], *step)
+                    if y:  # the pivot fell, and column t may have filled again
+                        break
+            else:
+                bad = None if A[t][t] == 1 else next(
+                    (i for i in range(t + 1, rows) if gcd(*A[i]) % A[t][t]), None)
+                if bad is None:
+                    break
+                row_step(bad, (1, 1, 0, 1))
+    return SmithForm(A, U, [list(column) for column in zip(*W)])

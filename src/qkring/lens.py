@@ -40,9 +40,11 @@ def _ring(k: int) -> Ring:
         raise ValueError("k must be >= 1")
     m = 2 * k
     labels = ["1", "eta"] + [f"eta^{e}" for e in range(2, m)]
-    # eta^i * eta^j = eta^((i + j) mod 2k): eta^(2k) = 1 is the one and only relation
+    # eta^i * eta^j = eta^((i + j) mod 2k): eta^(2k) = 1 is the one and only
+    # relation, so row i is the powers rotated by i, and the rows share entries
+    powers = [((e, 1),) for e in range(m)]
     return Ring(f"Z[eta]/(eta^{m} - 1)", k, labels,
-                lambda: [[(((i + j) % m, 1),) for j in range(m)] for i in range(m)])
+                lambda: [powers[i:] + powers[:i] for i in range(m)])
 
 
 def lens_zero(k: int) -> LensElement:

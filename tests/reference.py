@@ -9,7 +9,10 @@ textbook route to a value that the package computes another way:
 * ``chebyshev_t`` is the recurrence behind ``adams.psi_oracles``;
 * ``character_of``, ``pointwise``, ``inner_product`` and ``decompose`` are
   the dense character calculus that ``repring``'s sparse certifiers replace;
-* ``smith_failure`` checks a ``SmithForm`` against its matrix.
+* ``smith_failure`` checks a ``SmithForm`` against its matrix;
+* ``bareiss_determinant`` is Bareiss elimination that rescales every row at
+  each new pivot, the check on ``intmatrix.determinant`` for lattices too
+  large for sympy.
 """
 
 from itertools import islice
@@ -133,3 +136,37 @@ def smith_failure(snf, M):
             if i != j and v != 0:
                 return f"nonzero off-diagonal entry D[{i}][{j}] = {v}"
     return None
+
+
+def bareiss_determinant(A) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    Row i is left as it is at step t when its multiplier M[i][t] is 0 and
+    the pivot equals the previous one, because (x*p - 0*y) // p is x.  A
+    row with a zero multiplier under a new pivot is still rescaled.  The
+    0 x 0 matrix has the empty product, 1, as its determinant.
+    """
+    n = len(A)
+    if any(len(r) != n for r in A):
+        raise ValueError("determinant requires a square matrix")
+    M = [row[:] for row in A]
+    sign = 1
+    prev = 1
+    for t in range(n - 1):
+        if M[t][t] == 0:
+            for i in range(t + 1, n):
+                if M[i][t] != 0:
+                    M[t], M[i] = M[i], M[t]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = M[t][t]
+        for i in range(t + 1, n):
+            if M[i][t] == 0 and pivot == prev:
+                continue
+            for j in range(t + 1, n):
+                M[i][j] = (M[i][j] * pivot - M[i][t] * M[t][j]) // prev
+            M[i][t] = 0
+        prev = pivot
+    return sign * M[n - 1][n - 1] if n else 1

@@ -1,12 +1,15 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkring.intmatrix import (SmithForm, determinant, hermite_basis_mod,
+from qkring import intmatrix
+from qkring.intmatrix import (SmithForm, _xgcd, determinant, hermite_basis_mod,
                               identity_matrix, smith_normal_form)
-from reference import mat_mul, smith_failure
+from qkring.truncation import truncated_quotient
+from reference import bareiss_determinant, mat_mul, smith_failure
 
 
 def test_snf_examples():
@@ -39,6 +42,63 @@ def _matrices(rows, cols):
         min_size=rows, max_size=rows)
 
 
+@settings(max_examples=200)
+@given(st.integers(-10 ** 6, 10 ** 6).filter(bool), st.integers(-10 ** 6, 10 ** 6))
+def test_xgcd_bezout(a, b):
+    g, x, y = _xgcd(a, b)
+    assert g == math.gcd(a, b) >= 0
+    assert x * a + y * b == g
+
+
+@settings(max_examples=100)
+@given(st.integers(-10 ** 6, 10 ** 6).filter(bool), st.integers(-50, 50))
+def test_xgcd_of_a_multiple_only_clears_it(a, q):
+    # otherwise the step [[x, y], [-b/g, a/g]] may swap two rows, and an
+    # elimination built on it never ends
+    assert _xgcd(a, q * a) == (abs(a), 1 if a > 0 else -1, 0)
+
+
+SEVEN_BY_FIVE = [[-2, -2, -1, -7, 0], [-9, 2, -5, 1, -4], [-5, 0, 0, -6, 0],
+                 [0, 0, -3, -8, 0], [0, 0, 0, -3, 4], [-8, 0, 0, -7, 0], [4, 8, 8, 3, 0]]
+
+
+def test_snf_ends_where_a_unit_pivot_divides_its_row():
+    # an elimination whose _xgcd(1, 1) gave (x, y) = (0, 1) swapped two rows here
+    snf = smith_normal_form(SEVEN_BY_FIVE)
+    assert smith_failure(snf, SEVEN_BY_FIVE) is None
+    assert snf.diagonal == [1, 1, 1, 2, 4]
+
+
+def test_snf_clears_column_t_again_after_a_column_step_refills_it(monkeypatch):
+    # pivot 2 does not divide 3, so the column step mixes columns 0 and 1
+    # and puts 5 back under the pivot; a row step then clears it
+    M = [[2, 3], [0, 5]]
+    steps = []
+    step = intmatrix._step
+    monkeypatch.setattr(intmatrix, "_step", lambda a, b: steps.append((a, b)) or step(a, b))
+    snf = smith_normal_form(M)
+    assert steps[:2] == [(2, 3), (1, 5)]
+    assert smith_failure(snf, M) is None
+    assert snf.diagonal == [1, 10]
+
+
+def test_snf_diagonal_matches_sympy_on_rectangular_matrices():
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    from sympy import ZZ, Matrix
+    cases = [SEVEN_BY_FIVE]
+    rng = random.Random(1)
+    for _ in range(150):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        density = rng.random()
+        cases.append([[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(cols)]
+                      for _ in range(rows)])
+    for M in cases:
+        factors = normalforms.invariant_factors(Matrix(M), domain=ZZ)
+        snf = smith_normal_form(M)
+        assert [int(d) for d in factors] == snf.diagonal, M
+        assert smith_failure(snf, M) is None, M
+
+
 @settings(max_examples=40)
 @given(st.integers(1, 5), st.integers(1, 5), st.data())
 def test_snf_random(rows, cols, data):
@@ -65,16 +125,46 @@ def test_determinant_examples():
     assert determinant([[2, 0, 0], [0, 0, 0], [0, 0, 3]]) == 0
 
 
+# a row whose multiplier is 0 is left as it is, over however many new pivots,
+# until its multiplier is nonzero or it becomes the pivot row
+DEFERRED = [
+    [[2, 1, 0], [0, 3, 1], [0, 0, 5]],  # new pivots: rows with 0 multipliers wait
+    [[1, 4, 0], [0, 1, 7], [0, 0, 1]],  # equal pivots
+    [[0, 2, 1], [3, 0, 0], [0, 0, 4]],  # a swap, then a new pivot
+    [[1, 2, 0, 0], [0, 3, 0, 1], [0, 0, 3, 2], [1, 0, 0, 6]],
+    # row 3 waits through pivots 2 and 6, then has multiplier 4 under 30
+    [[2, 1, 0, 0], [0, 3, 1, 0], [0, 0, 5, 1], [0, 0, 4, 7]],
+    # row 4 waits through four new pivots, then is the pivot row
+    [[3, 1, 0, 0, 0], [0, 5, 2, 0, 0], [0, 0, 7, 1, 0], [0, 0, 0, 2, 9], [0, 0, 0, 0, 11]],
+    # a row that waited is swapped in as the pivot row, then has to catch up
+    [[2, 1, 0, 0], [0, 3, 1, 0], [0, 0, 0, 5], [0, 0, 4, 1]],
+    # it waits, then a singular trailing block ends the elimination
+    [[2, 1, 0, 0], [0, 3, 1, 0], [0, 0, 0, 5], [0, 0, 0, 7]],
+]
+
+
+def test_deferred_scaling_determinant_matches_the_bareiss_reference():
+    for M in DEFERRED:
+        assert determinant(M) == bareiss_determinant(M), M
+    rng = random.Random(2)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        M = [[rng.randint(-5, 5) if rng.random() < 0.3 else 0 for _ in range(n)]
+             for _ in range(n)]
+        assert determinant(M) == bareiss_determinant(M), M
+
+
+@pytest.mark.parametrize("n,N", [(6, 4), (7, 3), (8, 2)])
+def test_truncation_lattice_determinant_matches_the_bareiss_reference(n, N):
+    # too large for sympy
+    rows = truncated_quotient(n, N).lattice
+    lattice = [list(r[1:]) for r in rows[1:]]
+    assert determinant(lattice) == bareiss_determinant(lattice) != 0
+
+
 def test_determinant_matches_sympy_on_sparse_matrices():
-    # zero multipliers are where Bareiss may skip a row: only under a pivot
-    # equal to the previous one, never under a new pivot
     sympy = pytest.importorskip("sympy")
-    cases = [
-        [[2, 1, 0], [0, 3, 1], [0, 0, 5]],  # new pivots: rows with 0 multipliers rescaled
-        [[1, 4, 0], [0, 1, 7], [0, 0, 1]],  # equal pivots: those rows skipped
-        [[0, 2, 1], [3, 0, 0], [0, 0, 4]],  # a swap, then a new pivot
-        [[1, 2, 0, 0], [0, 3, 0, 1], [0, 0, 3, 2], [1, 0, 0, 6]],
-    ]
+    cases = list(DEFERRED)
     rng = random.Random(0)
     for _ in range(400):
         n = rng.randint(1, 7)

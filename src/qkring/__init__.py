@@ -25,8 +25,8 @@ _MODULES = {
               "verify_relations_in_R"),
     "lens": ("LensElement", "eta_power", "lens_multiply", "restrict",
              "verify_relations_vanish", "verify_restriction_hom", "w_element"),
-    "repring": ("ClassFunction", "GroupParams", "RepElement", "canonical_d",
-                "character_table", "multiply", "phi_element", "verify_structure_constants"),
+    "repring": ("GroupParams", "RepElement", "canonical_d", "multiply", "phi_element",
+                "verify_structure_constants"),
     "truncation": ("TruncatedQuotient", "consistency_report", "corollary2_table", "order_of",
                    "phi_order", "torsion_order", "truncated_quotient"),
 }

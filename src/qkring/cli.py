@@ -145,8 +145,8 @@ def _cmd_consistency(args):
 # Values outside these bounds exit with 2; the library itself is unbounded.
 # The largest runs inside them, on a 2-core VM with Python 3.11.7 and no
 # bytecode cache: the whole grid, table --n-max 10 --N-max 16, 9.6-11.4 s at
-# 23 MB peak RSS (three runs), and verify --n 10 --suite all 82-85 s at 341 MB
-# (two runs).
+# 23 MB peak RSS (three runs), and verify --n 10 --suite all 82 s at 179-189 MB
+# (text and JSON).
 # option: (lowest, highest, highest as printed, default or None if required)
 OPTIONS = {
     "--n": (3, 10, "10", None),

@@ -85,9 +85,12 @@ def hermite_basis_mod(rows, modulus: int):
     modulus * e_j lies in the lattice (Domich, Kannan and Trotter, Math. Oper.
     Res. 12 (1987); Cohen, GTM 138, 2.4).  When span(rows) has full rank and
     its index divides ``modulus``, the result is a basis of span(rows).
+    No rows, or rows of unequal lengths, raise ValueError.
     """
     if modulus <= 0:
         raise ValueError("modulus must be positive")
+    if not rows or any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("empty or ragged matrix")
     m = len(rows[0])
     work = [[x % modulus for x in row] for row in rows]
     H = []

@@ -16,8 +16,10 @@ product: ``verify_orthogonality`` proves the exact Z[zeta]-valued table
 invertible, and ``verify_structure_constants`` then compares the character
 of each basis product with the pointwise product of characters.
 
-Both certifiers work on the nonzero Z[zeta] terms of the table values
-(an irreducible value is an integer or zeta^a + zeta^-a, so it has at most
+Both certifiers read one sparse table, ``_character_table``: its k + 3
+distinct Z[zeta] values are held once, and each character is a row of
+indices into them.  They work on the nonzero terms of those values (an
+irreducible value is an integer or zeta^a + zeta^-a, so it has at most
 two), and their Z[zeta] products use only the table that ``intmath`` builds
 from zeta^k = -1; the fold rules above never enter the oracle.  Neither
 certifier halves its work by symmetry: every ordered pair (i, j) is
@@ -173,47 +175,48 @@ def multiply(a: RepElement, b: RepElement) -> RepElement:
 # [y], [xy], with sizes 1, 1, 2, ..., 2, k, k.
 # ---------------------------------------------------------------------------
 
-class ClassFunction(Record):
-    """Cyclotomic-valued class function, indexed by the frozen class order."""
-
-    __slots__ = ("params", "values")
-
-
 def class_sizes(params: GroupParams):
     return [1, 1] + [2] * (params.k - 1) + [params.k, params.k]
 
 
 @lru_cache(maxsize=None)
 def _character_table(n: int):
-    params = GroupParams(n)
-    k = params.k
-    cy = lambda v: CyclotomicInt.from_int(k, v)
-    root = lambda e: CyclotomicInt.root_power(k, e)
+    """The irreducible characters, aligned with the RepElement basis order,
+    as ``(values, ids, conj)``: ``values`` holds each distinct Z[zeta] value
+    of the table once, ``ids[i][g]`` is the index of chi_i on class g, and
+    ``conj[x]`` that of the complex conjugate of ``values[x]``.
 
-    def row(e_val, xk_val, xr_fn, y_val, xy_val):
-        values = [e_val, xk_val]
-        values += [xr_fn(r) for r in range(1, k)]
-        values += [y_val, xy_val]
-        return ClassFunction(params, tuple(values))
+    d_i on the class of x^r is zeta^(ir) + zeta^(-ir), built once for each
+    exponent ir mod 2k; there are k + 3 distinct values in all.
+    """
+    k = GroupParams(n).k
+    root = partial(CyclotomicInt.root_power, k)
+    values, index = [], {}
 
-    table = [
-        row(cy(1), cy(1), lambda r: cy(1), cy(1), cy(1)),
-        row(cy(1), cy(1), lambda r: cy(1), cy(-1), cy(-1)),
+    def intern(value):
+        if value not in index:
+            index[value] = len(values)
+            values.append(value)
+        return index[value]
+
+    one, minus, zero = (intern(CyclotomicInt.from_int(k, v)) for v in (1, -1, 0))
+    d = [intern(root(e) + root(-e)) for e in range(2 * k)]
+    powers = (0, k, *range(1, k))  # x^r for the classes [e], [x^k], [x^1], ...
+    signs = tuple(minus if r % 2 else one for r in powers)
+    ids = (
+        (one,) * (k + 3),
+        (one,) * (k + 1) + (minus, minus),
         # eta2(y) = +1, eta3(y) = -1 is a free choice; swapping the two is a
         # ring automorphism, and the structure-constant oracle certifies it.
-        row(cy(1), cy(1), lambda r: cy((-1) ** r), cy(1), cy(-1)),
-        row(cy(1), cy(1), lambda r: cy((-1) ** r), cy(-1), cy(1)),
-    ]
-    for i in range(1, k):
-        table.append(row(cy(2), cy(2 * (-1) ** i),
-                         lambda r, i=i: root(i * r) + root(-i * r),
-                         cy(0), cy(0)))
-    return tuple(table)
-
-
-def character_table(params: GroupParams):
-    """Irreducible characters, aligned with the RepElement basis order."""
-    return _character_table(params.n)
+        signs + (one, minus),
+        signs + (minus, one),
+        *(tuple(d[i * r % (2 * k)] for r in powers) + (zero, zero) for i in range(1, k)),
+    )
+    # closed by a loop: the conjugate of a value may be a new value
+    conj = []
+    while len(conj) < len(values):
+        conj.append(intern(values[len(conj)].conj()))
+    return tuple(values), ids, tuple(conj)
 
 
 def _inner_product_value(total: CyclotomicInt, params: GroupParams) -> int:
@@ -226,20 +229,6 @@ def _inner_product_value(total: CyclotomicInt, params: GroupParams) -> int:
             f"inner product {value}/{params.group_order} is not an integer; "
             "the class function is not a virtual character")
     return q
-
-
-@lru_cache(maxsize=None)
-def _character_terms(n: int):
-    """The nonzero Z[zeta] terms of the character table: ``(terms,
-    conjugates)``, where ``terms[i][g]`` lists the (exponent, coefficient)
-    pairs of chi_i on class g and ``conjugates[i][g]`` those of its complex
-    conjugate."""
-    def nonzero(value):
-        return tuple((e, c) for e, c in enumerate(value.coeffs) if c)
-
-    table = _character_table(n)
-    return (tuple(tuple(nonzero(v) for v in chi.values) for chi in table),
-            tuple(tuple(nonzero(v.conj()) for v in chi.values) for chi in table))
 
 
 def verify_structure_constants(params: GroupParams) -> Report:
@@ -266,27 +255,21 @@ def verify_structure_constants(params: GroupParams) -> Report:
     values is computed once: 4,325 products serve the 300,763 class
     comparisons at n = 8.
     """
-    table = character_table(params)
-    terms, _ = _character_terms(params.n)
-    width = _code_width(params, terms)
+    values, ids, _ = _character_table(params.n)
+    width = _code_width(params, values)
 
-    def code(pairs):
-        return sum(c << (width * e) for e, c in pairs if c)
+    def code(value):
+        return sum(c << (width * e) for e, c in enumerate(value.coeffs) if c)
 
-    codes = [[code(value) for value in chi] for chi in terms]
-    # ids[i][g] numbers the distinct values; pointwise[x][y] codes value x * value y
-    distinct = {}
-    ids = [[distinct.setdefault(value, len(distinct)) for value in chi] for chi in terms]
-    values = [None] * len(distinct)
-    for chi, chi_ids in zip(table, ids):
-        for value, x in zip(chi.values, chi_ids):
-            values[x] = value
+    value_codes = [code(value) for value in values]
+    codes = [[value_codes[x] for x in chi] for chi in ids]
+    # pointwise[x][y] codes values[x] * values[y]
     pointwise = [[None] * len(values) for _ in values]
     for column in zip(*ids):
         for x in set(column):
             for y in set(column):
                 if pointwise[x][y] is None:
-                    pointwise[x][y] = code(enumerate((values[x] * values[y]).coeffs))
+                    pointwise[x][y] = code(values[x] * values[y])
     basis = basis_elements(params)
     labels = basis_labels(params)
     checks = []
@@ -304,7 +287,7 @@ def verify_structure_constants(params: GroupParams) -> Report:
     return Report(f"structure constants, n={params.n}", tuple(checks))
 
 
-def _code_width(params: GroupParams, terms) -> int:
+def _code_width(params: GroupParams, values) -> int:
     """Bit width B of the integer code of a Z[zeta] value in
     ``verify_structure_constants``.
 
@@ -319,11 +302,10 @@ def _code_width(params: GroupParams, terms) -> int:
     def largest_sum(ring_table):
         return max(sum(abs(c) for _, c in entry) for row in ring_table for entry in row)
 
-    values = [value for chi in terms for value in chi]
     s = largest_sum(_ring(params.n).table)
     z = largest_sum(intmath._ring(params.k).table)
-    m = max(abs(c) for value in values for _, c in value)
-    norm = max(sum(abs(c) for _, c in value) for value in values)
+    m = max(abs(c) for value in values for c in value.coeffs)
+    norm = max(sum(map(abs, value.coeffs)) for value in values)
     return max(s * m, norm * norm * z).bit_length() + 1
 
 
@@ -337,7 +319,10 @@ def verify_orthogonality(params: GroupParams) -> Report:
     table, with chi_i(g) on the left of each product, and then takes the
     quotient by |G| with ``_inner_product_value``.
     """
-    terms, conjugates = _character_terms(params.n)
+    values, ids, conj = _character_table(params.n)
+    nonzero = [tuple((e, c) for e, c in enumerate(value.coeffs) if c) for value in values]
+    terms = [[nonzero[x] for x in chi] for chi in ids]
+    conjugates = [[nonzero[conj[x]] for x in chi] for chi in ids]
     zeta_table = intmath._ring(params.k).table
     sizes = class_sizes(params)
     labels = basis_labels(params)

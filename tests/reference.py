@@ -7,6 +7,9 @@ textbook route to a value that the package computes another way:
 * ``horner`` evaluates a polynomial, a second route beside
   ``kring.Substitution``;
 * ``chebyshev_t`` is the recurrence behind ``adams.psi_oracles``;
+* ``character_table`` is the dense table of ``ClassFunction`` rows, one
+  Z[zeta] value per (character, class), that ``repring._character_table``
+  stores as k + 3 distinct values and rows of indices into them;
 * ``character_of``, ``pointwise``, ``inner_product`` and ``decompose`` are
   the dense character calculus that ``repring``'s sparse certifiers replace;
 * ``smith_failure`` checks a ``SmithForm`` against its matrix;
@@ -21,7 +24,8 @@ from qkring import repring
 from qkring.adams import psi_oracles
 from qkring.intmath import CyclotomicInt, IntPoly
 from qkring.intmatrix import determinant
-from qkring.repring import ClassFunction, RepElement, character_table, class_sizes
+from qkring.report import Record
+from qkring.repring import GroupParams, RepElement, class_sizes
 
 
 def horner(p: IntPoly, x):
@@ -55,6 +59,42 @@ def chebyshev_t(i: int) -> IntPoly:
 def psi_oracle(i: int):
     """psi^i, the i-th term of ``psi_oracles``; ValueError for i < 1."""
     return next(islice(psi_oracles(), i - 1, None))
+
+
+class ClassFunction(Record):
+    """Cyclotomic-valued class function, indexed by the frozen class order."""
+
+    __slots__ = ("params", "values")
+
+
+def character_table(params: GroupParams):
+    """Irreducible characters, aligned with the RepElement basis order.
+
+    Built anew on each call, so that its values use the Z[zeta] table in
+    force (a planted one included)."""
+    k = params.k
+    cy = lambda v: CyclotomicInt.from_int(k, v)
+    root = lambda e: CyclotomicInt.root_power(k, e)
+
+    def row(e_val, xk_val, xr_fn, y_val, xy_val):
+        values = [e_val, xk_val]
+        values += [xr_fn(r) for r in range(1, k)]
+        values += [y_val, xy_val]
+        return ClassFunction(params, tuple(values))
+
+    table = [
+        row(cy(1), cy(1), lambda r: cy(1), cy(1), cy(1)),
+        row(cy(1), cy(1), lambda r: cy(1), cy(-1), cy(-1)),
+        # eta2(y) = +1, eta3(y) = -1 is a free choice; swapping the two is a
+        # ring automorphism, and the structure-constant oracle certifies it.
+        row(cy(1), cy(1), lambda r: cy((-1) ** r), cy(1), cy(-1)),
+        row(cy(1), cy(1), lambda r: cy((-1) ** r), cy(-1), cy(1)),
+    ]
+    for i in range(1, k):
+        table.append(row(cy(2), cy(2 * (-1) ** i),
+                         lambda r, i=i: root(i * r) + root(-i * r),
+                         cy(0), cy(0)))
+    return tuple(table)
 
 
 def _zero(k: int) -> CyclotomicInt:

@@ -279,6 +279,15 @@ def test_hermite_basis_mod_rejects_bad_modulus():
         hermite_basis_mod([[1]], 0)
 
 
+# a longer later row, a shorter later row, and no rows at all; zip would drop
+# the third column of the first case without a word
+@pytest.mark.parametrize("rows", [[[3, 1], [1, 2, 3]], [[1, 2, 3], [3, 1]], []],
+                         ids=["longer", "shorter", "empty"])
+def test_hermite_basis_mod_rejects_empty_and_ragged_rows(rows):
+    with pytest.raises(ValueError, match="empty or ragged matrix"):
+        hermite_basis_mod(rows, 7)
+
+
 @settings(max_examples=60)
 @given(st.integers(1, 6), st.integers(1, 3), st.data())
 def test_hermite_basis_mod_random(m, factor, data):

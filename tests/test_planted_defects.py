@@ -13,7 +13,7 @@ import pytest
 
 from qkring import adams, cli, intmath, kring, lens, repring, truncation
 from qkring.repring import GroupParams
-from reference import character_of, inner_product, pointwise
+from reference import ClassFunction, character_of, character_table, inner_product, pointwise
 
 
 @pytest.fixture
@@ -317,7 +317,7 @@ def dense_gram_checks(table):
 def test_cyclotomic_defect_fails_orthogonality_n6(plant):
     params = GroupParams(6)
     plant(intmath._ring(16), 1, 3)
-    table = repring.character_table(params)
+    table = character_table(params)
     checks = repring.verify_orthogonality(params).checks
     assert [(c.passed, c.detail) for c in checks] == dense_gram_checks(table)
     failures = [c for c in checks if not c.passed]
@@ -338,13 +338,13 @@ def test_structure_verdicts_hold_when_a_defect_matches_the_true_code_width(
     # tables give, its code equals that of zeta^2, so the codes must widen
     # with the Z[zeta] table for the verdicts to stay the dense reference's
     params = GroupParams(4)
-    width = repring._code_width(params, repring._character_terms(4)[0])
+    width = repring._code_width(params, repring._character_table(4)[0])
     ring = intmath._ring(4)
     table = [list(row) for row in ring.table]
     assert table[1][1] == ((2, 1),)
     table[1][1] = ((1, 2 ** width),)
     monkeypatch.setitem(vars(ring), "table", table)
-    characters = repring.character_table(params)
+    characters = character_table(params)
     basis = repring.basis_elements(params)
     verdicts = [character_of(a * b) == pointwise(fa, fb)
                 for a, fa in zip(basis, characters) for b, fb in zip(basis, characters)]
@@ -375,21 +375,23 @@ def test_one_sided_table_defect_breaks_commutativity(plant, name):
 def test_non_real_character_value_gives_conjugate_witnesses(monkeypatch, fresh_caches):
     # d_1 on the class of x is z - z^3 at k = 4; planted as z, it is not
     # real, so <d_1, chi> and <chi, d_1> have conjugate totals: each ordered
-    # pair must be summed on its own
+    # pair must be summed on its own.  z and its conjugate -z^3 are new
+    # values of the table, each the other's conjugate.
     params = GroupParams(4)
     true_table = repring._character_table
-    values = list(true_table(4)[4].values)
-    values[2] = intmath.CyclotomicInt.root_power(4, 1)
-    table = list(true_table(4))
-    table[4] = repring.ClassFunction(params, tuple(values))
+    values, ids, conj = true_table(4)
+    z = intmath.CyclotomicInt.root_power(4, 1)
+    x = len(values)
+    ids = list(ids)
+    ids[4] = ids[4][:2] + (x,) + ids[4][3:]
+    planted = values + (z, z.conj()), tuple(ids), conj + (x + 1, x)
     monkeypatch.setattr(repring, "_character_table",
-                        functools.lru_cache(lambda n: tuple(table) if n == 4 else true_table(n)))
-    # the cached nonzero terms are read from the planted table only here
-    repring._character_terms.cache_clear()
-    try:
-        checks = repring.verify_orthogonality(params).checks
-    finally:
-        repring._character_terms.cache_clear()
+                        functools.lru_cache(lambda n: planted if n == 4 else true_table(n)))
+    checks = repring.verify_orthogonality(params).checks
+    table = [ClassFunction(params, tuple(planted[0][y] for y in chi)) for chi in planted[1]]
+    true = character_table(params)
+    assert [(i, g) for i, chi in enumerate(table) for g, v in enumerate(chi.values)
+            if v != true[i].values[g]] == [(4, 2)] and table[4].values[2] == z
     assert [(c.passed, c.detail) for c in checks] == dense_gram_checks(table)
     by_name = {c.name: c.witness for c in checks}
     assert by_name["<d_1,eta1>"] == "2*z^3 is not a rational integer"

@@ -14,8 +14,9 @@ from qkring.intmath import CyclotomicInt, IntPoly
 from qkring.intmatrix import SmithForm, smith_normal_form
 from qkring.kring import MinimalityCertificate, RelationSet, relations_for
 from qkring.report import Check, Record, Report
-from qkring.repring import ClassFunction, GroupParams, RepElement
+from qkring.repring import GroupParams, RepElement
 from qkring.truncation import TableCell, consistency_report, truncated_quotient
+from reference import ClassFunction
 
 
 def records():

@@ -3,12 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkring.intmath import CyclotomicInt
-from qkring.repring import (ETA3, ClassFunction, GroupParams, RepElement,
+from qkring.repring import (ETA3, GroupParams, RepElement, _character_table,
                             basis_elements, basis_labels, canonical_d,
-                            character_table, class_sizes, eta1, eta2,
-                            one, phi_element, verify_orthogonality,
-                            verify_structure_constants)
-from reference import character_of, decompose, inner_product, pointwise
+                            class_sizes, eta1, eta2, one, phi_element,
+                            verify_orthogonality, verify_structure_constants)
+from reference import (ClassFunction, character_of, character_table, decompose,
+                       inner_product, pointwise)
 
 P3, P4, P6 = GroupParams(3), GroupParams(4), GroupParams(6)
 
@@ -112,6 +112,23 @@ def test_character_values():
     assert table[4].values[1] == CyclotomicInt.from_int(4, -2)
     # two-dimensional characters vanish on [y] and [xy]
     assert table[4].values[-1].is_zero() and table[4].values[-2].is_zero()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_sparse_table_expands_to_the_dense_table(n):
+    params = GroupParams(n)
+    values, ids, conj = _character_table(n)
+    assert [[values[x] for x in chi] for chi in ids] == [
+        list(chi.values) for chi in character_table(params)]
+    assert all(values[conj[x]] == value.conj() for x, value in enumerate(values))
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_sparse_table_holds_each_value_once(n):
+    values, ids, conj = _character_table(n)
+    k = GroupParams(n).k
+    assert len(values) == len(set(values)) == len(conj) == k + 3
+    assert {x for chi in ids for x in chi} == set(range(k + 3))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

@@ -119,7 +119,7 @@ def verify_oracles(k: int) -> Report:
                       if (series := psi_series(i)) != oracle), "")
     g_diff = g_poly(k) - psi_series(k + 1) + psi_series(k - 1)
     return Report(f"adams oracle, k={k}", (
-        Check(f"psi_series = psi_oracle for i <= {2 * k + 1}", not psi_split, psi_split),
+        Check(f"psi_series = psi_oracles for i <= {2 * k + 1}", not psi_split, psi_split),
         Check(f"g_{2 * k} = psi^{k + 1} - psi^{k - 1}", not g_diff.coeffs,
               f"g_{2 * k} - psi^{k + 1} + psi^{k - 1} = {g_diff}"),
     ))

@@ -1,9 +1,10 @@
 """Command-line surface: presentations, verification suites, order tables.
 
 Exit codes: 0 on success (or all checks passing), 1 when a verification
-fails or a table cell mismatches, 2 on usage errors.  ``--format json``
-emits a single JSON document on stdout; text mode prints one result per
-line.  Output ordering is fixed so golden tests stay stable.
+fails or a table cell mismatches, 2 on usage errors, 141 when the reader
+closes stdout early.  ``--format json`` emits a single JSON document on
+stdout; text mode prints one result per line.  Output ordering is fixed so
+golden tests stay stable.
 
 Two tables declare the surface: ``OPTIONS`` gives each integer option's
 bounds and default, and ``VERBS`` each verb's help line, handler and
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .report import Report, merge
@@ -145,8 +147,8 @@ def _cmd_consistency(args):
 # Values outside these bounds exit with 2; the library itself is unbounded.
 # The largest runs inside them, on a 2-core VM with Python 3.11.7 and no
 # bytecode cache: the whole grid, table --n-max 10 --N-max 16, 9.6-11.4 s at
-# 23 MB peak RSS (three runs), and verify --n 10 --suite all 82 s at 179-189 MB
-# (text and JSON).
+# 23 MB peak RSS (three runs), and verify --n 10 --suite all 84-88 s at
+# 162-173 MB (text and JSON, one run each).
 # option: (lowest, highest, highest as printed, default or None if required)
 OPTIONS = {
     "--n": (3, 10, "10", None),
@@ -219,7 +221,13 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(payload) if args.format == "json" else "\n".join(lines))
+    try:
+        print(json.dumps(payload) if args.format == "json" else "\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader stopped early, as `| head` does
+        # stdout goes to devnull, so the flush at exit raises no second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a process SIGPIPE ends
     return 0 if passed else 1
 
 

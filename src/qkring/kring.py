@@ -374,7 +374,8 @@ class Substitution:
     def __init__(self, unit, v1, v2, phi):
         self._pows = tuple([unit, image] for image in (v1, v2, phi))
 
-    def _power(self, var: int, e: int):
+    def power(self, var: int, e: int):
+        """Image ``var`` (0: v1, 1: v2, 2: phi) to the power e, cached."""
         cache = self._pows[var]
         while len(cache) <= e:
             cache.append(cache[-1] * cache[1])
@@ -388,7 +389,7 @@ class Substitution:
         for mono in fp:
             # a product with the unit costs as much as any other, so zeroth
             # powers are left out of the term
-            factors = [self._power(var, e) for var, e in enumerate(mono) if e] or [unit]
+            factors = [self.power(var, e) for var, e in enumerate(mono) if e] or [unit]
             terms.append(prod(factors[1:], start=factors[0]).coeffs)
         # one pass per coordinate, with no intermediate element
         return unit._new(sum(map(mul, fp.values(), column)) for column in zip(*terms))
@@ -405,26 +406,18 @@ def _embedding(n: int) -> Substitution:
     return Substitution(unit, eta1(params) - unit, eta2(params) - unit, phi_element(params))
 
 
-@lru_cache(maxsize=None)
-def _basis_columns(n: int) -> tuple:
-    """Columns of the basis-change matrix, whose rows are the images of
-    1, v1, v2, phi, ..., phi^k."""
-    emb = _embedding(n)
-    rows = (emb.of_formal({mono: 1}).coeffs for mono in _basis_monos(GroupParams(n).k))
-    return tuple(zip(*rows))
-
-
 def embed_to_R(elem: KElement) -> RepElement:
-    """Image of a normal-form element: its coefficients times the basis-change matrix."""
-    return RepElement(GroupParams(elem.n), (sum(map(mul, elem.coeffs, column))
-                                            for column in _basis_columns(elem.n)))
+    """Image of a normal-form element, evaluated by the embedding's
+    ``Substitution``: its coefficients times the images of the basis."""
+    return _embedding(elem.n).of_formal(elem.to_fp())
 
 
-def _basis_change_determinant(n: int) -> int:
-    """Determinant of the basis-change matrix, taken of its transpose: with
-    the row of eta3 moved last, that is upper triangular with unit pivots,
-    so Bareiss elimination only swaps the eta3 row down and skips the rest."""
-    return determinant([list(column) for column in _basis_columns(n)])
+def _basis_change(n: int):
+    """Images of 1, v1, v2, phi, ..., phi^k (the basis-change matrix's rows)
+    and the determinant of their transpose, which with the row of eta3 moved
+    last is unit upper triangular: Bareiss only swaps the eta3 row down."""
+    images = [embed_to_R(b) for b in nf_basis(n)]
+    return images, determinant([list(column) for column in zip(*(x.coeffs for x in images))])
 
 
 def basis_change_matrix(n: int):
@@ -433,8 +426,8 @@ def basis_change_matrix(n: int):
     Returns (matrix, unimodular flag); |det| = 1 proves that the presented
     ring is additively isomorphic to R(Q_{4k}).
     """
-    rows = [list(row) for row in zip(*_basis_columns(n))]
-    return rows, abs(_basis_change_determinant(n)) == 1
+    images, det = _basis_change(n)
+    return [list(image.coeffs) for image in images], abs(det) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -602,22 +595,20 @@ def _embedding_witness(prod: KElement, lhs: RepElement, rhs: RepElement) -> str:
     return f"K gives {prod}; coefficient of {label}: {x} embedded, {y} in R"
 
 
-def _embedding_square(n: int):
+def _embedding_square(n: int, images):
     """(i, j, K product, its image, R product of the images) for each
-    ordered pair of basis indices, in order."""
+    ordered pair of basis indices, in order, from the basis ``images``."""
     basis = nf_basis(n)
-    images = [embed_to_R(b) for b in basis]
-    power = _embedding(n)._power
-    # index t >= 3 is phi^(t-2), so i >= 4 (with j >= i) is phi^a * phi^b
-    # with a, b >= 2.  R's table is commutative by construction, so each R
-    # product serves both orders.
-    products = {(i, j): power(2, i + j - 4) if i >= 4 else images[i] * images[j]
-                for i in range(len(basis)) for j in range(i, len(basis))}
+    power = _embedding(n).power
     embed = lru_cache(maxsize=None)(embed_to_R)
     for i, a in enumerate(basis):
         for j, b in enumerate(basis):
             prod = multiply_nf(a, b)
-            yield i, j, prod, embed(prod), products[min(i, j), max(i, j)]
+            # index t >= 3 is phi^(t-2), so lo >= 4 is phi^a * phi^b with
+            # a, b >= 2; R's table is commutative by construction
+            lo, hi = min(i, j), max(i, j)
+            rhs = power(2, lo + hi - 4) if lo >= 4 else images[lo] * images[hi]
+            yield i, j, prod, embed(prod), rhs
 
 
 def verify_embedding(n: int) -> Report:
@@ -635,10 +626,10 @@ def verify_embedding(n: int) -> Report:
     1, v1, v2 or phi) and is multiplied literally.  The K side is computed
     for every ordered pair, and each distinct product is embedded once.
     """
-    det = _basis_change_determinant(n)
+    images, det = _basis_change(n)
     checks = [Check("basis_change_unimodular", abs(det) == 1, f"determinant {det}")]
     labels = nf_basis_labels(n)
-    for i, j, prod, lhs, rhs in _embedding_square(n):
+    for i, j, prod, lhs, rhs in _embedding_square(n, images):
         ok = lhs == rhs
         checks.append(Check(f"embed({labels[i]}*{labels[j]})", ok,
                             "" if ok else _embedding_witness(prod, lhs, rhs)))

@@ -85,10 +85,9 @@ def restrict(r: RepElement) -> LensElement:
     return LensElement(k, tuple(out))
 
 
-@lru_cache(maxsize=None)
 def _substitution(k: int) -> Substitution:
-    """v1 -> 0, v2 -> eta^k - 1, phi -> w: the images of the restricted
-    generators, with every power of w built once per k."""
+    """v1 -> 0, v2 -> eta^k - 1, phi -> w, the restricted generators; not
+    cached, as a run calls it once and the result builds each w^j once."""
     one = lens_one(k)
     return Substitution(one, lens_zero(k), eta_power(k, k) - one, w_element(k))
 

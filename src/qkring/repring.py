@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from functools import lru_cache, partial
 
-from . import intmath
 from .freemodule import Element, Ring, commutative_table
 from .intmath import CyclotomicInt
 from .report import Check, Record, Report
@@ -303,7 +302,7 @@ def _code_width(params: GroupParams, values) -> int:
         return max(sum(abs(c) for _, c in entry) for row in ring_table for entry in row)
 
     s = largest_sum(_ring(params.n).table)
-    z = largest_sum(intmath._ring(params.k).table)
+    z = largest_sum(values[0].ring.table)
     m = max(abs(c) for value in values for c in value.coeffs)
     norm = max(sum(map(abs, value.coeffs)) for value in values)
     return max(s * m, norm * norm * z).bit_length() + 1
@@ -323,7 +322,7 @@ def verify_orthogonality(params: GroupParams) -> Report:
     nonzero = [tuple((e, c) for e, c in enumerate(value.coeffs) if c) for value in values]
     terms = [[nonzero[x] for x in chi] for chi in ids]
     conjugates = [[nonzero[conj[x]] for x in chi] for chi in ids]
-    zeta_table = intmath._ring(params.k).table
+    zeta_table = values[0].ring.table
     sizes = class_sizes(params)
     labels = basis_labels(params)
     k = params.k

@@ -120,6 +120,19 @@ def test_usage_errors_exit_2():
     assert run_cli("table", "--n-max", "1").returncode == 2
 
 
+def test_reader_that_stops_early_gets_no_traceback():
+    # about 260 KB of text, far above a pipe's buffer, so the print meets a
+    # closed pipe after the reader takes one line
+    argv = [sys.executable, "-m", "qkring", "verify", "--n", "8", "--suite", "all"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "PASS relation1\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert "Traceback" not in stderr
+
+
 def test_adversarial_flags_do_not_crash():
     for args in (["order", "--n", "notanumber", "--N", "0"],
                  ["adams", "--i", "999999999999999999999"],

@@ -107,13 +107,11 @@ def all_pairs_square(n):
     K product."""
     basis = nf_basis(n)
     images = [embed_to_R(b) for b in basis]
-    products = {(i, j): images[i] * images[j]
-                for i in range(len(basis)) for j in range(i, len(basis))}
     out = []
     for i, a in enumerate(basis):
         for j, b in enumerate(basis):
             prod = multiply_nf(a, b)
-            out.append((i, j, prod, embed_to_R(prod), products[min(i, j), max(i, j)]))
+            out.append((i, j, prod, embed_to_R(prod), images[min(i, j)] * images[max(i, j)]))
     return out
 
 
@@ -121,7 +119,27 @@ def all_pairs_square(n):
 def test_embedding_square_matches_all_pairs_reference(n):
     reference = all_pairs_square(n)
     assert len(reference) == GroupParams(n).basis_size ** 2
-    assert list(kring._embedding_square(n)) == reference
+    assert list(kring._embedding_square(n, kring._basis_change(n)[0])) == reference
+
+
+@settings(max_examples=40)
+@given(st.sampled_from([3, 4, 5, 6]), st.data())
+def test_embedding_is_the_basis_change_matrix(n, data):
+    # embed_to_R evaluates through the Substitution; it must still be the
+    # coefficient vector times the rows of basis_change_matrix
+    size = GroupParams(n).basis_size
+    x = KElement(n, data.draw(st.lists(st.integers(-50, 50), min_size=size, max_size=size)))
+    rows, _ = basis_change_matrix(n)
+    expected = [sum(c * row[s] for c, row in zip(x.coeffs, rows)) for s in range(size)]
+    assert embed_to_R(x) == RepElement(GroupParams(n), expected)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_power_chain_is_powers_of_phi(n):
+    params = GroupParams(n)
+    phi = phi_element(params)
+    for e in range(2 * params.k + 1):
+        assert kring._embedding(n).power(2, e) == phi ** e
 
 
 @pytest.mark.parametrize("n,size", [(3, 5), (4, 7), (6, 19)])

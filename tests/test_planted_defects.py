@@ -21,8 +21,7 @@ def fresh_caches():
     """Clears, after the test, every cache that may hold a planted table or
     products made with one."""
     yield
-    for cache in (repring._ring, kring._ring, kring._embedding, kring._basis_columns,
-                  lens._ring, lens._substitution, intmath._ring,
+    for cache in (repring._ring, kring._ring, kring._embedding, lens._ring, intmath._ring,
                   repring._character_table):
         cache.cache_clear()
 
@@ -108,13 +107,12 @@ def test_rep_table_defect_read_by_the_power_chain_fails_the_oracle(plant, capsys
     # alone cannot see the entry: it rests on the associativity that the
     # structure constants of the same suite certify, and they name the pair.
     kring._embedding.cache_clear()
-    kring._basis_columns.cache_clear()
-    true_phi4 = kring._embedding(4)._power(2, 4)
+    true_phi4 = kring._embedding(4).power(2, 4)
     kring._embedding.cache_clear()
     plant(repring._ring(4), 6, 4)
     assert cli.main(["verify", "--n", "4", "--suite", "oracle", "--format", "json"]) == 1
     checks = json.loads(capsys.readouterr().out)["checks"]
-    assert kring._embedding(4)._power(2, 4) != true_phi4
+    assert kring._embedding(4).power(2, 4) != true_phi4
     by_name = {c["name"]: c for c in checks}
     assert by_name["embed(phi^2*phi^2)"]["passed"]
     assert [c for c in checks if not c["passed"] and not c["name"].startswith("embed(")] == [
@@ -431,7 +429,7 @@ def test_perturbed_psi_oracle_names_the_first_differing_term(monkeypatch, capsys
 
     monkeypatch.setattr(adams, "psi_oracles", planted)
     assert _failed_checks(capsys, ["verify", "--n", "3", "--suite", "oracle"]) == [
-        {"name": "psi_series = psi_oracle for i <= 5", "passed": False,
+        {"name": "psi_series = psi_oracles for i <= 5", "passed": False,
          "detail": "psi^3: series phi^3 + 6*phi^2 + 9*phi, oracle phi^3 + 6*phi^2 + 10*phi"}]
 
 
@@ -445,9 +443,10 @@ def test_changed_g_poly_shows_the_difference(monkeypatch, capsys):
 
 def test_doubled_image_row_shows_the_determinant(monkeypatch, capsys):
     # the image of phi^2 planted as twice itself: |det| becomes 2
-    true_columns = kring._basis_columns
-    monkeypatch.setattr(kring, "_basis_columns", lambda n: tuple(
-        column[:4] + (2 * column[4],) + column[5:] for column in true_columns(n)))
+    true_embed = kring.embed_to_R
+    phi2 = kring.nf_basis(3)[4]
+    monkeypatch.setattr(kring, "embed_to_R", lambda elem: (
+        2 * true_embed(elem) if elem == phi2 else true_embed(elem)))
     failures = _failed_checks(capsys, ["verify", "--n", "3", "--suite", "oracle"])
     assert failures[0] == {"name": "basis_change_unimodular", "passed": False,
                            "detail": "determinant -2"}

@@ -32,11 +32,8 @@ and 6.
 
 Correctness is certified against R(Q_{4k}): the basis-change matrix of the
 embedding is unimodular and normal-form multiplication commutes with the
-embedding on all basis pairs.  The R side of phi^a * phi^b is read off the
-power chain of phi's image, which equals the product of the two images
-because R's table is associative: the structure-constant and orthogonality
-checks of repring prove the character map an injective ring homomorphism,
-and ``verify_embedding`` run without them assumes it.
+embedding on all basis pairs.  What the square relies on in R is stated
+once, in ``verify_embedding``.
 
 Minimality is certified by ideal non-membership: each presentation relation
 r has a degree D and an exponent e for which r is outside
@@ -346,8 +343,7 @@ def nf_basis(n: int):
 
 
 def nf_basis_labels(n: int):
-    k = GroupParams(n).k
-    return ["1", "v1", "v2", "phi"] + [f"phi^{j}" for j in range(2, k + 1)]
+    return [mono_name(mono) for mono in _basis_monos(GroupParams(n).k)]
 
 
 def reduce(expr: dict, n: int) -> KElement:
@@ -381,16 +377,19 @@ class Substitution:
             cache.append(cache[-1] * cache[1])
         return cache[e]
 
+    def monomial(self, mono: Mono):
+        """Image of v1^a * v2^b * phi^c for mono = (a, b, c): the product, left
+        to right, of the cached powers.  A product with the unit costs as much
+        as any other, so zeroth powers are left out: a single power is
+        returned as cached, and (0, 0, 0) gives the unit."""
+        factors = [self.power(var, e) for var, e in enumerate(mono) if e] or [self._pows[0][0]]
+        return prod(factors[1:], start=factors[0])
+
     def of_formal(self, fp: dict):
         unit = self._pows[0][0]
         if not fp:
             return 0 * unit
-        terms = []
-        for mono in fp:
-            # a product with the unit costs as much as any other, so zeroth
-            # powers are left out of the term
-            factors = [self.power(var, e) for var, e in enumerate(mono) if e] or [unit]
-            terms.append(prod(factors[1:], start=factors[0]).coeffs)
+        terms = [self.monomial(mono).coeffs for mono in fp]
         # one pass per coordinate, with no intermediate element
         return unit._new(sum(map(mul, fp.values(), column)) for column in zip(*terms))
 
@@ -595,19 +594,18 @@ def _embedding_witness(prod: KElement, lhs: RepElement, rhs: RepElement) -> str:
     return f"K gives {prod}; coefficient of {label}: {x} embedded, {y} in R"
 
 
-def _embedding_square(n: int, images):
-    """(i, j, K product, its image, R product of the images) for each
-    ordered pair of basis indices, in order, from the basis ``images``."""
+def _embedding_square(n: int):
+    """(i, j, K product, its image, R side) for each ordered pair of basis
+    indices, in order.  The R side is the image of the formal product of the
+    two basis monomials, their exponent triples added."""
     basis = nf_basis(n)
-    power = _embedding(n).power
+    monos = _basis_monos(GroupParams(n).k)
+    monomial = _embedding(n).monomial
     embed = lru_cache(maxsize=None)(embed_to_R)
     for i, a in enumerate(basis):
         for j, b in enumerate(basis):
             prod = multiply_nf(a, b)
-            # index t >= 3 is phi^(t-2), so lo >= 4 is phi^a * phi^b with
-            # a, b >= 2; R's table is commutative by construction
-            lo, hi = min(i, j), max(i, j)
-            rhs = power(2, lo + hi - 4) if lo >= 4 else images[lo] * images[hi]
+            rhs = monomial(tuple(x + y for x, y in zip(monos[i], monos[j])))
             yield i, j, prod, embed(prod), rhs
 
 
@@ -615,21 +613,20 @@ def verify_embedding(n: int) -> Report:
     """Unimodular basis change plus the commuting square
     embed(a *_nf b) = embed(a) * embed(b) over all normal-form basis pairs.
 
-    The R side of phi^a * phi^b with a, b >= 2 is phi's image to the power
-    a + b, read off the cached power chain (each step a product with the
-    sparse image of phi), which also gives embed(phi^a) and embed(phi^b).
-    It equals embed(phi^a) * embed(phi^b) because R's table is associative:
+    For basis monomials m_i and m_j the R side is the image of their formal
+    product m_i*m_j, which ``Substitution.monomial`` forms from the cached
+    powers of the images of v1, v2 and phi.  It equals embed(m_i) *
+    embed(m_j) because R's table is commutative and associative:
     ``repring.verify_structure_constants`` and ``verify_orthogonality``
     together prove the character map an injective ring homomorphism into
     class functions under the pointwise product.  Called on its own, this
-    check assumes them.  Every other pair has a sparse factor (the image of
-    1, v1, v2 or phi) and is multiplied literally.  The K side is computed
-    for every ordered pair, and each distinct product is embedded once.
+    check assumes them.  The K side is computed for every ordered pair, and
+    each distinct product is embedded once.
     """
-    images, det = _basis_change(n)
+    _, det = _basis_change(n)
     checks = [Check("basis_change_unimodular", abs(det) == 1, f"determinant {det}")]
     labels = nf_basis_labels(n)
-    for i, j, prod, lhs, rhs in _embedding_square(n, images):
+    for i, j, prod, lhs, rhs in _embedding_square(n):
         ok = lhs == rhs
         checks.append(Check(f"embed({labels[i]}*{labels[j]})", ok,
                             "" if ok else _embedding_witness(prod, lhs, rhs)))

@@ -13,9 +13,9 @@ class Record:
     """Immutable value whose fields are the public names in the ``__slots__``
     of its class and bases, in order.
 
-    The constructor takes the fields by position or keyword; a field given
-    neither way takes its value from ``_defaults``, and ``__post_init__``
-    then checks them (it may normalise one with ``object.__setattr__``).
+    The constructor takes every field by position or keyword, and
+    ``__post_init__`` then checks them (it may normalise one with
+    ``object.__setattr__``).
     Equality holds only between instances of one class.  Equality, hash and
     repr read the fields named in ``_compared``, or every field when it is
     empty.  Assignment and deletion raise AttributeError.
@@ -23,7 +23,6 @@ class Record:
 
     __slots__ = ()
     _fields = ()
-    _defaults = {}
     _compared = ()
 
     def __init_subclass__(cls, **kwargs):
@@ -35,7 +34,7 @@ class Record:
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
-        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        values = dict(zip(fields, args), **kwargs)
         if (len(args) > len(fields) or values.keys() != set(fields)
                 or not kwargs.keys().isdisjoint(fields[:len(args)])):
             raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
@@ -92,7 +91,6 @@ class Check(Record):
 
 class Report(Record):
     __slots__ = ("title", "checks")
-    _defaults = {"checks": ()}
 
     @property
     def all_passed(self) -> bool:

@@ -14,7 +14,7 @@ from qkring.kring import (KElement, apply_rule_once, basis_change_matrix,
                           relations_for, rewrite, verify_embedding,
                           verify_local_confluence, verify_minimality_witness,
                           verify_relation3_redundant, verify_relations_in_R)
-from qkring.repring import (GroupParams, RepElement, eta1, multiply, one,
+from qkring.repring import (GroupParams, RepElement, eta1, eta2, multiply, one,
                             phi_element)
 
 V1, V2, PHI = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -102,9 +102,9 @@ def test_embedding_commutes_with_product(n):
 
 
 def all_pairs_square(n):
-    """The square as computed before the power-chain route: a dense product
-    of two images for every unordered pair, and a fresh embedding of every
-    K product."""
+    """The square as computed before its R side became the image of the
+    formal product: a dense product of two images for every unordered pair,
+    and a fresh embedding of every K product."""
     basis = nf_basis(n)
     images = [embed_to_R(b) for b in basis]
     out = []
@@ -119,7 +119,7 @@ def all_pairs_square(n):
 def test_embedding_square_matches_all_pairs_reference(n):
     reference = all_pairs_square(n)
     assert len(reference) == GroupParams(n).basis_size ** 2
-    assert list(kring._embedding_square(n, kring._basis_change(n)[0])) == reference
+    assert list(kring._embedding_square(n)) == reference
 
 
 @settings(max_examples=40)
@@ -132,6 +132,18 @@ def test_embedding_is_the_basis_change_matrix(n, data):
     rows, _ = basis_change_matrix(n)
     expected = [sum(c * row[s] for c, row in zip(x.coeffs, rows)) for s in range(size)]
     assert embed_to_R(x) == RepElement(GroupParams(n), expected)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_monomial_is_the_literal_product(n):
+    params = GroupParams(n)
+    unit = one(params)
+    v1, v2, phi = eta1(params) - unit, eta2(params) - unit, phi_element(params)
+    sub = kring._embedding(n)
+    for mono in kring._monomials(0, 4):
+        a, b, c = mono
+        assert sub.monomial(mono) == v1 ** a * v2 ** b * phi ** c
+        assert sub.of_formal({mono: -3}) == -3 * sub.monomial(mono)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -255,6 +267,9 @@ def test_str_and_labels():
     assert mono_name((1, 2, 3)) == "v1*v2^2*phi^3"
     assert mono_name((0, 0, 0)) == "1"
     assert nf_basis_labels(3) == ["1", "v1", "v2", "phi", "phi^2"]
+    for n in range(3, 11):
+        phi_powers = [f"phi^{j}" for j in range(2, GroupParams(n).k + 1)]
+        assert nf_basis_labels(n) == ["1", "v1", "v2", "phi"] + phi_powers
 
 
 def test_import_builds_no_ring():

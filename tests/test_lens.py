@@ -142,6 +142,16 @@ def test_lens_substitution_is_restricted_embedding(n, data):
     assert lens._substitution(k).of_formal(f) == restrict(kring._embedding(n).of_formal(f))
 
 
+@pytest.mark.parametrize("k", [2, 4, 8])
+def test_lens_monomial_is_the_literal_product(k):
+    sub = lens._substitution(k)
+    v2 = eta_power(k, k) - lens_one(k)
+    for mono in kring._monomials(0, 4):
+        a, b, c = mono
+        assert sub.monomial(mono) == lens_zero(k) ** a * v2 ** b * w_element(k) ** c
+        assert sub.of_formal({mono: -3}) == -3 * sub.monomial(mono)
+
+
 @settings(max_examples=25)
 @given(st.sampled_from([3, 4, 5]), st.data())
 def test_substitution_is_multiplicative(n, data):

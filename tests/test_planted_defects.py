@@ -119,6 +119,21 @@ def test_rep_table_defect_read_by_the_power_chain_fails_the_oracle(plant, capsys
         {"name": "d_3*d_1", "passed": False, "detail": "table gives 2*eta2 + eta3 + d_2"}]
 
 
+def test_rep_table_defect_off_the_square_fails_only_its_pair(plant, capsys):
+    # d_1*eta3 at n=3; eta3*d_1 keeps the true entry.  The square's R side
+    # multiplies images of v1, v2 and phi only, and none of its products puts
+    # a d_1 term on the left of an eta3 term, so the square passes: the pair
+    # rests on the commutativity and associativity that the structure
+    # constants of the same suite certify, and they name it.
+    kring._embedding.cache_clear()
+    plant(repring._ring(3), 4, 3)
+    assert kring.verify_embedding(3).all_passed
+    assert cli.main(["verify", "--n", "3", "--suite", "oracle", "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c for c in checks if not c["passed"]] == [
+        {"name": "d_1*eta3", "passed": False, "detail": "table gives 2*d_1"}]
+
+
 # phi operator column 1 is phi*v1 = -2*v1 (relation 4); column 4 at k = 2 is
 # phi*phi^2 = -8*phi - 6*phi^2 (the phi^3 rule), used by phi^3 and phi^4
 @pytest.mark.parametrize("column,names", [

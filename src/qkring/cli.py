@@ -19,10 +19,8 @@ names up on those module objects when it runs: ``order``, ``table`` and
 ``consistency`` cohomology too), ``adams`` and ``g`` load adams,
 ``cohomology`` loads cohomology alone, ``present`` loads kring and repring,
 and ``verify`` loads every module but cohomology and truncation.  A
-module's own imports come along, so a verb may compile code it does not
-run: ``present`` compiles intmatrix, which kring imports for the embedding
-and minimality certificates.  ``tests/test_imports.py`` pins each verb's
-module set.
+module's own imports come along.  ``tests/test_imports.py`` pins each
+verb's module set.
 """
 
 from __future__ import annotations
@@ -146,9 +144,9 @@ def _cmd_consistency(args):
 
 # Values outside these bounds exit with 2; the library itself is unbounded.
 # The largest runs inside them, on a 2-core VM with Python 3.11.7 and no
-# bytecode cache: the whole grid, table --n-max 10 --N-max 16, 9.6-11.4 s at
-# 23 MB peak RSS (three runs), and verify --n 10 --suite all 84-88 s at
-# 162-173 MB (text and JSON, one run each).
+# bytecode cache: the whole grid, table --n-max 10 --N-max 16, 7.8-8.3 s at
+# 23 MB peak RSS (three runs), and verify --n 10 --suite all 73-78 s at
+# 163-173 MB (text and JSON, one run each).
 # option: (lowest, highest, highest as printed, default or None if required)
 OPTIONS = {
     "--n": (3, 10, "10", None),

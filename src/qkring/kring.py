@@ -49,12 +49,12 @@ their witnesses.
 from __future__ import annotations
 
 from functools import lru_cache, partial
+from heapq import heapify, heappop, heappush
 from math import prod
 from operator import mul
 
 from .adams import PhiPoly, g_poly, psi_series
 from .freemodule import Element, Ring, commutative_table, format_terms
-from .intmatrix import determinant, hermite_basis_mod
 from .report import Check, Record, Report
 from .repring import GroupParams, RepElement, canonical_d, eta1, eta2, one, phi_element
 
@@ -192,8 +192,9 @@ def relations_for(n: int) -> RelationSet:
 # ---------------------------------------------------------------------------
 
 def _measure(mono: Mono):
+    """Heap key: the least is the largest monomial by (v-factors, degree, exponents)."""
     a, b, c = mono
-    return (a + b, a + b + c, mono)
+    return (-(a + b), -(a + b + c), (-a, -b, -c), mono)
 
 
 def apply_rule_once(mono: Mono, rule: Rule) -> dict:
@@ -214,25 +215,32 @@ def rewrite(expr: dict, rset: RelationSet, labels=None) -> dict:
     with a restricted label set it may retain stuck monomials.  It serves
     ``reduce``, local confluence and the redundancy of relation 3; neither
     the table of basis products nor the minimality certificate uses it.
+
+    Each step pops the largest monomial of the working set off a heap and
+    rewrites it by the first allowed rule, or moves it to the result, which
+    holds only stuck monomials.  So each rewrite picks the largest reducible
+    monomial of the two together, as re-sorting them would, for any
+    terminating rule set: a product not lower than the popped monomial pops
+    next, and a stuck one that comes back is added to the result again.
     """
     rules = rset.rules if labels is None else tuple(
         r for r in rset.rules if r.label in labels)
     work = {m: c for m, c in expr.items() if c}
-    while True:
-        pick = None
-        for mono in sorted(work, key=_measure, reverse=True):
-            for rule in rules:
-                if rule.applies_to(mono):
-                    pick = (mono, rule)
-                    break
-            if pick:
-                break
-        if pick is None:
-            return work
-        mono, rule = pick
-        coeff = work.pop(mono)
+    heap = [_measure(m) for m in work]
+    heapify(heap)
+    out: dict = {}
+    while heap:
+        mono = heappop(heap)[-1]
+        coeff = work.pop(mono, 0)
+        rule = next((r for r in rules if r.applies_to(mono)), None)
+        if rule is None or not coeff:
+            fp_add_term(out, mono, coeff)
+            continue
         for tgt, c in apply_rule_once(mono, rule).items():
+            if tgt not in work:
+                heappush(heap, _measure(tgt))
             fp_add_term(work, tgt, coeff * c)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +423,8 @@ def _basis_change(n: int):
     """Images of 1, v1, v2, phi, ..., phi^k (the basis-change matrix's rows)
     and the determinant of their transpose, which with the row of eta3 moved
     last is unit upper triangular: Bareiss only swaps the eta3 row down."""
+    from .intmatrix import determinant  # present never loads it
+
     images = [embed_to_R(b) for b in nf_basis(n)]
     return images, determinant([list(column) for column in zip(*(x.coeffs for x in images))])
 
@@ -500,6 +510,8 @@ def _monomials(low: int, high: int) -> list:
 def _minimality_certificate(label: str, relation: dict, others, n: int):
     """The certificate with the least D, then the least e (D in
     MINIMALITY_DEGREES, e <= n+2); None when there is none."""
+    from .intmatrix import hermite_basis_mod  # present never loads it
+
     for degree in MINIMALITY_DEGREES:
         monos = _monomials(1, degree)
         index = {mono: i for i, mono in enumerate(monos)}

@@ -18,7 +18,7 @@ from .adams import psi_series
 from .freemodule import Element, Ring
 from .kring import Substitution, relations_for
 from .report import Check, Report
-from .repring import ETA1, ETA2, ETA3, GroupParams, RepElement, basis_elements, multiply
+from .repring import ETA1, ETA2, ETA3, ONE, GroupParams, RepElement, basis_elements, multiply
 
 
 class LensElement(Element):
@@ -72,17 +72,12 @@ def lens_multiply(a: LensElement, b: LensElement) -> LensElement:
 
 
 def restrict(r: RepElement) -> LensElement:
-    """Restriction along the cyclic subgroup generated by x."""
-    k = r.params.k
-    out = [0] * (2 * k)
-    out[0] += r.coeffs[0] + r.coeffs[ETA1]
-    out[k] += r.coeffs[ETA2] + r.coeffs[ETA3]
-    for i in range(1, k):
-        c = r.coeffs[3 + i]
-        if c:
-            out[i] += c
-            out[2 * k - i] += c
-    return LensElement(k, tuple(out))
+    """Restriction along the cyclic subgroup generated by x: one slice map
+    over R's coordinates, d holding those of d_1, ..., d_(k-1), so that
+    eta^i and its mirror eta^(2k-i) both take the coefficient of d_i."""
+    c = r.coeffs
+    d = c[ETA3 + 1:]
+    return LensElement(r.params.k, (c[ONE] + c[ETA1], *d, c[ETA2] + c[ETA3], *d[::-1]))
 
 
 def _substitution(k: int) -> Substitution:

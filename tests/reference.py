@@ -15,7 +15,10 @@ textbook route to a value that the package computes another way:
 * ``smith_failure`` checks a ``SmithForm`` against its matrix;
 * ``bareiss_determinant`` is Bareiss elimination that rescales every row at
   each new pivot, the check on ``intmatrix.determinant`` for lattices too
-  large for sympy.
+  large for sympy;
+* ``rewrite`` re-sorts its working set after every rule application, where
+  ``kring.rewrite`` pops monomials off a heap;
+* ``restrict`` loops over the d's, where ``lens.restrict`` maps slices.
 """
 
 from itertools import islice
@@ -24,8 +27,10 @@ from qkring import repring
 from qkring.adams import psi_oracles
 from qkring.intmath import CyclotomicInt, IntPoly
 from qkring.intmatrix import determinant
+from qkring.kring import apply_rule_once, fp_add_term
+from qkring.lens import LensElement
 from qkring.report import Record
-from qkring.repring import GroupParams, RepElement, class_sizes
+from qkring.repring import ETA1, ETA2, ETA3, GroupParams, RepElement, class_sizes
 
 
 def horner(p: IntPoly, x):
@@ -210,3 +215,43 @@ def bareiss_determinant(A) -> int:
             M[i][t] = 0
         prev = pivot
     return sign * M[n - 1][n - 1] if n else 1
+
+
+def rewrite(expr: dict, rset, labels=None) -> dict:
+    """Rewrite the largest reducible monomial, by (number of v-factors,
+    total degree, exponents), with the first allowed rule in priority
+    order; re-sort the working set after every step, and stop when no
+    monomial is reducible."""
+    rules = rset.rules if labels is None else tuple(
+        r for r in rset.rules if r.label in labels)
+    work = {m: c for m, c in expr.items() if c}
+    while True:
+        pick = None
+        for mono in sorted(work, key=lambda m: (m[0] + m[1], sum(m), m), reverse=True):
+            for rule in rules:
+                if rule.applies_to(mono):
+                    pick = (mono, rule)
+                    break
+            if pick:
+                break
+        if pick is None:
+            return work
+        mono, rule = pick
+        coeff = work.pop(mono)
+        for tgt, c in apply_rule_once(mono, rule).items():
+            fp_add_term(work, tgt, coeff * c)
+
+
+def restrict(r: RepElement) -> LensElement:
+    """Restriction to <x>: 1 and eta1 go to 1, eta2 and eta3 to eta^k, d_i
+    to eta^i + eta^(-i)."""
+    k = r.params.k
+    out = [0] * (2 * k)
+    out[0] += r.coeffs[0] + r.coeffs[ETA1]
+    out[k] += r.coeffs[ETA2] + r.coeffs[ETA3]
+    for i in range(1, k):
+        c = r.coeffs[3 + i]
+        if c:
+            out[i] += c
+            out[2 * k - i] += c
+    return LensElement(k, tuple(out))

@@ -29,6 +29,7 @@ CASES = {
     **{f"verify_n3_{suite}": ["verify", "--n", "3", "--suite", suite]
        for suite in cli.SUITES},
     "verify_n4_all": ["verify", "--n", "4", "--suite", "all"],
+    "verify_n5_all": ["verify", "--n", "5", "--suite", "all"],
     "order_n3_N0": ["order", "--n", "3", "--N", "0"],
     "order_n4_N1": ["order", "--n", "4", "--N", "1"],
     "table_n4_N1": ["table", "--n-max", "4", "--N-max", "1"],

@@ -53,7 +53,7 @@ VERBS = [
     (["verify", "--n", "3", "--suite", "all"], KRING | {"lens"}),
     (["cohomology", "--p", "4", "--k", "4"], {"cli", "cohomology", "report"}),
     (["consistency", "--n", "3", "--N", "0"], TRUNCATION | {"cohomology"}),
-    (["present", "--n", "3"], KRING),
+    (["present", "--n", "3"], KRING - {"intmatrix"}),
 ]
 
 

@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 
@@ -16,6 +17,8 @@ from qkring.kring import (KElement, apply_rule_once, basis_change_matrix,
                           verify_relation3_redundant, verify_relations_in_R)
 from qkring.repring import (GroupParams, RepElement, eta1, eta2, multiply, one,
                             phi_element)
+
+import reference
 
 V1, V2, PHI = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
@@ -231,6 +234,42 @@ def test_local_confluence(n):
     report = verify_local_confluence(n)
     assert report.all_passed
     assert len(report.checks) == 7
+
+
+def _rewrite_inputs(n: int):
+    """The first rewrite of each critical monomial by each applicable rule,
+    then 50 seeded random formal polynomials of up to 6 terms with v1 and
+    v2 exponents <= 3 and phi exponents <= k + 2."""
+    rset = relations_for(n)
+    for mono in kring.critical_monomials(rset.k):
+        for rule in rset.rules:
+            if rule.applies_to(mono):
+                yield apply_rule_once(mono, rule)
+    rng = random.Random(n)
+    for _ in range(50):
+        yield {(rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, rset.k + 2)):
+               rng.randint(-9, 9) for _ in range(rng.randint(1, 6))}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_rewrite_matches_the_resorting_reference(n):
+    # the heap pops the monomial that re-sorting the working set picks
+    rset = relations_for(n)
+    for expr in _rewrite_inputs(n):
+        for labels in (None, ("relation1", "relation2", "relation4", "relation5")):
+            assert rewrite(expr, rset, labels) == reference.rewrite(expr, rset, labels), \
+                (expr, labels)
+
+
+def test_rewrite_matches_the_reference_when_a_rule_raises_the_measure():
+    # phi -> v1 raises the number of v-factors but still terminates: each
+    # product pops next, and the stuck v1^2 comes back to the result
+    rset = relations_for(3).replace(rules=(kring.Rule("raise", PHI, ((V1, 1),)),))
+    expr = {(2, 0, 0): 1, (1, 0, 1): 1, (0, 0, 2): 3, (0, 1, 1): -1, (0, 2, 0): 1}
+    assert rewrite(expr, rset) == reference.rewrite(expr, rset) == {
+        (2, 0, 0): 5, (1, 1, 0): -1, (0, 2, 0): 1}
+    for expr in _rewrite_inputs(3):
+        assert rewrite(expr, rset) == reference.rewrite(expr, rset), expr
 
 
 def test_apply_rule_once():

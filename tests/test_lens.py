@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from qkring.lens import (LensElement, eta_power, lens_multiply, lens_one,
                          verify_restriction_hom, w_element)
 from qkring.repring import (GroupParams, RepElement, basis_elements,
                             canonical_d, eta1, multiply, phi_element)
+import reference
 from reference import horner
 
 
@@ -59,6 +62,16 @@ def test_restrict_basis_images():
     assert restrict(canonical_d(p, 1)) == eta_power(k, 1) + eta_power(k, -1)
     assert restrict(eta1(p)) == lens_one(k)
     assert restrict(phi_element(p)) == w_element(k)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_restrict_matches_the_loop_reference(n):
+    params = GroupParams(n)
+    rng = random.Random(n)
+    random_elements = [RepElement(params, [rng.randint(-9, 9) for _ in range(params.basis_size)])
+                       for _ in range(50)]
+    for r in basis_elements(params) + random_elements:
+        assert restrict(r) == reference.restrict(r), r
 
 
 def test_restrict_kernel():

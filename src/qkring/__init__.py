@@ -16,7 +16,7 @@ _MODULES = {
     "adams": ("PhiPoly", "g_poly", "psi_oracles", "psi_series",
               "verify_oracles"),
     "cohomology": ("CohGroup", "h_group", "predicted_reduced_order"),
-    "intmath": ("CyclotomicInt", "IntPoly", "binomial"),
+    "intmath": ("CyclotomicInt", "IntPoly"),
     "intmatrix": ("SmithForm", "determinant", "hermite_basis_mod", "smith_normal_form"),
     "kring": ("KElement", "MinimalityCertificate", "RelationSet", "basis_change_matrix",
               "embed_to_R", "minimality_certificates", "multiply_nf",

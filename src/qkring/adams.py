@@ -2,9 +2,11 @@
 
 Two independent constructions of psi^i are kept side by side:
 
-* ``psi_series`` -- the closed binomial series
+* ``psi_series`` -- the series
       psi^i(w) = sum_{j=1..i} [C(i,j) * C(i+j-1,j) / C(2j-1,j)] * w^j,
-  whose coefficients must all reduce to integers;
+  walked by its term ratio: from c_0 = 2, the constant term of
+  psi^i(w) + 2 = t_i(w + 2), each coefficient is the one before times
+  (i-j+1)(i+j-1) / (2j(2j-1)), and every quotient must be an integer;
 * ``psi_oracles`` -- s_i - 2 for i = 1, 2, ..., where s_i = t_i(w + 2)
   comes from running the Chebyshev-style recurrence in w itself:
   s_0 = 2, s_1 = w + 2, s_{i+1} = (w + 2)*s_i - s_{i-1}.  With
@@ -13,6 +15,8 @@ Two independent constructions of psi^i are kept side by side:
   w = z + 1/z - 2.
 
 Their equality is a standing regression test, not a one-time derivation.
+The series recurs in j within one psi^i and the oracle recurs in i, so
+neither is built from the other and each checks the other.
 The relation polynomial g_{2k} = psi^(k+1) - psi^(k-1) likewise has its own
 closed series.  ``verify_oracles`` checks both identities and returns a
 ``Report`` whose failing checks name their witnesses.
@@ -20,9 +24,9 @@ closed series.  ``verify_oracles`` checks both identities and returns a
 
 from __future__ import annotations
 
-from math import gcd
+from math import comb, gcd
 
-from .intmath import IntPoly, binomial
+from .intmath import IntPoly
 from .report import Check, Report
 
 
@@ -65,13 +69,19 @@ def _integral(num: int, den: int, what: str) -> int:
 
 
 def psi_series(i: int) -> PhiPoly:
-    """psi^i from the closed binomial series; every coefficient must be integral."""
+    """psi^i from the series, walked by its term ratio.
+
+    c_0 = 2 and c_j = c_{j-1} * (i-j+1)(i+j-1) / (2j(2j-1)).  Each step's
+    quotient is the coefficient of w^j itself, so ``_integral`` names that
+    coefficient when it is not an integer, as the closed form would.
+    """
     if i < 1:
         raise ValueError("psi^i requires i >= 1")
-    coeffs = []
+    coeffs, c = [], 2
     for j in range(1, i + 1):
-        coeffs.append(_integral(binomial(i, j) * binomial(i + j - 1, j),
-                                binomial(2 * j - 1, j), f"psi^{i}: coefficient of w^{j}"))
+        c = _integral(c * (i - j + 1) * (i + j - 1), 2 * j * (2 * j - 1),
+                      f"psi^{i}: coefficient of w^{j}")
+        coeffs.append(c)
     return PhiPoly.of(*coeffs)
 
 
@@ -104,7 +114,7 @@ def g_poly(k: int) -> PhiPoly:
     coeffs = [0] * (k + 1)
     coeffs[0] = 4 * k
     for j in range(2, k + 1):
-        coeffs[j - 1] = _integral((2 * k * k + j - 1) * binomial(k + j - 2, 2 * j - 3),
+        coeffs[j - 1] = _integral((2 * k * k + j - 1) * comb(k + j - 2, 2 * j - 3),
                                   (j - 1) * (2 * j - 1), f"g_{2*k}: coefficient of phi^{j}")
     coeffs[k] = 1
     return PhiPoly.of(*coeffs)

@@ -145,7 +145,7 @@ def _cmd_consistency(args):
 # Values outside these bounds exit with 2; the library itself is unbounded.
 # The largest runs inside them, on a 2-core VM with Python 3.11.7 and no
 # bytecode cache: the whole grid, table --n-max 10 --N-max 16, 7.8-8.3 s at
-# 23 MB peak RSS (three runs), and verify --n 10 --suite all 73-78 s at
+# 23 MB peak RSS (three runs), and verify --n 10 --suite all 56-68 s at
 # 163-173 MB (text and JSON, one run each).
 # option: (lowest, highest, highest as printed, default or None if required)
 OPTIONS = {

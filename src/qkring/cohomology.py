@@ -28,9 +28,10 @@ class CohGroup(Record):
     __slots__ = ("factors",)
 
     def __post_init__(self):
+        # stored first: a generator argument would be used up by the check
+        object.__setattr__(self, "factors", tuple(self.factors))
         if any(f < 0 for f in self.factors):
             raise ValueError("cyclic factors must be >= 0")
-        object.__setattr__(self, "factors", tuple(self.factors))
 
     def order(self):
         """Group order, or None when a factor is infinite cyclic."""

@@ -1,26 +1,16 @@
 """Exact integer arithmetic substrate.
 
-Binomial coefficients, dense integer polynomials with composition, and
-cyclotomic integers for a power-of-two root of unity.  Everything is pure
-and exact; no floats anywhere.
+Dense integer polynomials with composition, and cyclotomic integers for a
+power-of-two root of unity.  Everything is pure and exact; no floats
+anywhere.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
 
 from .freemodule import Element, Ring, format_terms
 from .report import Record
-
-
-def binomial(n: int, r: int) -> int:
-    """C(n, r) with the convention that r outside [0, n] gives 0."""
-    if n < 0:
-        raise ValueError("binomial requires n >= 0")
-    if r < 0 or r > n:
-        return 0
-    return comb(n, r)
 
 
 def _trim(coeffs) -> tuple:

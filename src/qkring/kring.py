@@ -85,10 +85,6 @@ def fp_neg(fp: dict) -> dict:
     return {m: -c for m, c in fp.items()}
 
 
-def fp_sub(f: dict, g: dict) -> dict:
-    return fp_sum(f, fp_neg(g))
-
-
 def fp_mul(f: dict, g: dict) -> dict:
     out: dict = {}
     for (a1, b1, c1), x in f.items():
@@ -135,7 +131,7 @@ class Rule(Record):
 
     def difference(self) -> dict:
         """pattern - rhs, the relation moved to one side."""
-        return fp_sub({self.pattern: 1}, dict(self.rhs))
+        return fp_sum({self.pattern: 1}, fp_neg(dict(self.rhs)))
 
     def __str__(self) -> str:
         return f"{mono_name(self.pattern)} = {fp_format(dict(self.rhs))}"
@@ -201,11 +197,7 @@ def apply_rule_once(mono: Mono, rule: Rule) -> dict:
     """Replace one occurrence of the rule's pattern inside the monomial."""
     if not rule.applies_to(mono):
         raise ValueError(f"{rule.label} does not apply to {mono_name(mono)}")
-    rem = tuple(m - p for m, p in zip(mono, rule.pattern))
-    out: dict = {}
-    for rmono, c in rule.rhs:
-        fp_add_term(out, tuple(r + s for r, s in zip(rem, rmono)), c)
-    return out
+    return fp_mul({tuple(m - p for m, p in zip(mono, rule.pattern)): 1}, dict(rule.rhs))
 
 
 def rewrite(expr: dict, rset: RelationSet, labels=None) -> dict:

@@ -46,6 +46,8 @@ class GroupParams(Record):
     __slots__ = ("n",)
 
     def __post_init__(self):
+        if type(self.n) is not int:  # 3.0 == 3 would share the caches keyed by n
+            raise TypeError(f"n must be an int, not {type(self.n).__name__}")
         if self.n < 3:
             raise ValueError("quaternion groups need n >= 3")
 

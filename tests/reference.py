@@ -7,6 +7,8 @@ textbook route to a value that the package computes another way:
 * ``horner`` evaluates a polynomial, a second route beside
   ``kring.Substitution``;
 * ``chebyshev_t`` is the recurrence behind ``adams.psi_oracles``;
+* ``psi_closed_form`` is the closed binomial series that ``adams.psi_series``
+  walks by its term ratio;
 * ``character_table`` is the dense table of ``ClassFunction`` rows, one
   Z[zeta] value per (character, class), that ``repring._character_table``
   stores as k + 3 distinct values and rows of indices into them;
@@ -18,16 +20,19 @@ textbook route to a value that the package computes another way:
   large for sympy;
 * ``rewrite`` re-sorts its working set after every rule application, where
   ``kring.rewrite`` pops monomials off a heap;
+* ``apply_rule_once`` adds the rule's terms one by one, where
+  ``kring.apply_rule_once`` is one ``fp_mul``;
 * ``restrict`` loops over the d's, where ``lens.restrict`` maps slices.
 """
 
 from itertools import islice
+from math import comb
 
 from qkring import repring
-from qkring.adams import psi_oracles
+from qkring.adams import PhiPoly, psi_oracles
 from qkring.intmath import CyclotomicInt, IntPoly
 from qkring.intmatrix import determinant
-from qkring.kring import apply_rule_once, fp_add_term
+from qkring.kring import fp_add_term, mono_name
 from qkring.lens import LensElement
 from qkring.report import Record
 from qkring.repring import ETA1, ETA2, ETA3, GroupParams, RepElement, class_sizes
@@ -64,6 +69,17 @@ def chebyshev_t(i: int) -> IntPoly:
 def psi_oracle(i: int):
     """psi^i, the i-th term of ``psi_oracles``; ValueError for i < 1."""
     return next(islice(psi_oracles(), i - 1, None))
+
+
+def psi_closed_form(i: int) -> PhiPoly:
+    """psi^i = sum_{j=1..i} [C(i,j) * C(i+j-1,j) / C(2j-1,j)] * w^j, each
+    quotient checked to be exact."""
+    coeffs = []
+    for j in range(1, i + 1):
+        q, r = divmod(comb(i, j) * comb(i + j - 1, j), comb(2 * j - 1, j))
+        assert not r, (i, j)
+        coeffs.append(q)
+    return PhiPoly.of(*coeffs)
 
 
 class ClassFunction(Record):
@@ -215,6 +231,18 @@ def bareiss_determinant(A) -> int:
             M[i][t] = 0
         prev = pivot
     return sign * M[n - 1][n - 1] if n else 1
+
+
+def apply_rule_once(mono: tuple, rule) -> dict:
+    """Replace one occurrence of the rule's pattern inside the monomial,
+    adding the shifted terms of its right-hand side one at a time."""
+    if not rule.applies_to(mono):
+        raise ValueError(f"{rule.label} does not apply to {mono_name(mono)}")
+    rem = tuple(m - p for m, p in zip(mono, rule.pattern))
+    out: dict = {}
+    for rmono, c in rule.rhs:
+        fp_add_term(out, tuple(r + s for r, s in zip(rem, rmono)), c)
+    return out
 
 
 def rewrite(expr: dict, rset, labels=None) -> dict:

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from qkring.adams import PhiPoly, g_poly, psi_oracles, psi_series, verify_oracles
 from qkring.intmath import IntPoly
-from reference import chebyshev_t, horner, psi_oracle
+from reference import chebyshev_t, horner, psi_closed_form, psi_oracle
 
 
 def test_psi_small_values():
@@ -13,6 +13,12 @@ def test_psi_small_values():
     assert psi_series(3) == PhiPoly.of(9, 6, 1)
     assert psi_series(4) == PhiPoly.of(16, 20, 8, 1)
     assert psi_series(5) == PhiPoly.of(25, 50, 35, 10, 1)
+
+
+def test_psi_series_walk_matches_closed_form():
+    # the term-ratio walk and the closed binomial series give the same psi^i
+    for i in range(1, 301):
+        assert psi_series(i) == psi_closed_form(i), i
 
 
 def test_psi_oracle_small_values():
@@ -154,17 +160,21 @@ def test_psi_oracles_walk_matches_composed_chebyshev():
 
 
 def test_non_integral_coefficients_raise_in_lowest_terms(monkeypatch):
-    # with C(1, 1) read as 8, psi^2 has coefficient 2 * 2 / 8 on w; with every
-    # binomial read as 1, g_8 has (2*16 + 2) / (2 * 5) on phi^3
+    # with psi^2's first quotient read as 8/16, not 8/2, its coefficient of w
+    # is 1/2; with every binomial read as 1, g_8 has (2*16 + 2) / (2 * 5) on phi^3
     from qkring import adams
 
-    true_binomial = adams.binomial
-    monkeypatch.setattr(adams, "binomial", lambda a, b: 8 if (a, b) == (1, 1)
-                        else true_binomial(a, b))
+    true_integral = adams._integral
+
+    def wrong_ratio(num, den, what):
+        return true_integral(num, 16 if what == "psi^2: coefficient of w^1" else den, what)
+
+    monkeypatch.setattr(adams, "_integral", wrong_ratio)
     with pytest.raises(ArithmeticError, match=r"^psi\^2: coefficient of w\^1 is 1/2, "
                                               r"not an integer$"):
         adams.psi_series(2)
-    monkeypatch.setattr(adams, "binomial", lambda a, b: 1)
+    monkeypatch.setattr(adams, "_integral", true_integral)
+    monkeypatch.setattr(adams, "comb", lambda a, b: 1)
     with pytest.raises(ArithmeticError, match=r"^g_8: coefficient of phi\^3 is 17/5, "
                                               r"not an integer$"):
         adams.g_poly(4)

@@ -30,6 +30,13 @@ def test_group_order_and_str():
         CohGroup((-1,))
 
 
+def test_factors_from_a_generator_are_kept():
+    # the check must not use up the argument before it is stored
+    assert CohGroup(f for f in (2, 2)) == CohGroup((2, 2))
+    with pytest.raises(ValueError):
+        CohGroup(iter([2, -1]))
+
+
 def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
         h_group(-1, 2)

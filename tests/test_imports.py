@@ -27,7 +27,7 @@ BENCH = SRC.parent / "bench"
 EXPORTS = {
     "adams": ["PhiPoly", "g_poly", "psi_oracles", "psi_series", "verify_oracles"],
     "cohomology": ["CohGroup", "h_group", "predicted_reduced_order"],
-    "intmath": ["CyclotomicInt", "IntPoly", "binomial"],
+    "intmath": ["CyclotomicInt", "IntPoly"],
     "intmatrix": ["SmithForm", "determinant", "hermite_basis_mod", "smith_normal_form"],
     "kring": ["KElement", "MinimalityCertificate", "RelationSet", "basis_change_matrix",
               "embed_to_R", "minimality_certificates", "multiply_nf",
@@ -99,7 +99,7 @@ def test_each_verb_loads_only_its_modules(argv, expected):
 
 def test_all_lists_every_export():
     names = sorted(name for names in EXPORTS.values() for name in names)
-    assert len(names) == 49
+    assert len(names) == 48
     assert sorted(qkring.__all__) == names
     assert set(names) <= set(dir(qkring))
 

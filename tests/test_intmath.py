@@ -5,26 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qkring.freemodule import format_terms
-from qkring.intmath import CyclotomicInt, IntPoly, binomial
+from qkring.intmath import CyclotomicInt, IntPoly
 from reference import chebyshev_t, horner
-
-
-def test_binomial_values():
-    assert binomial(5, 2) == 10
-    assert binomial(3, 0) == 1
-    assert binomial(4, 7) == 0
-    assert binomial(4, -1) == 0
-
-
-def test_binomial_rejects_negative_n():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-
-
-@given(st.integers(2, 60), st.data())
-def test_binomial_pascal(n, data):
-    r = data.draw(st.integers(1, n - 1))
-    assert binomial(n, r) == binomial(n - 1, r - 1) + binomial(n - 1, r)
 
 
 def test_chebyshev_small():

@@ -280,6 +280,19 @@ def test_apply_rule_once():
         apply_rule_once((0, 1, 0), rule1)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_apply_rule_once_matches_the_termwise_reference(n):
+    # every rule at every monomial of total degree <= k + 3 it applies to
+    rset = relations_for(n)
+    bound = rset.k + 3
+    monos = [(a, b, c) for a in range(bound + 1) for b in range(bound + 1 - a)
+             for c in range(bound + 1 - a - b)]
+    for rule in rset.rules:
+        for mono in filter(rule.applies_to, monos):
+            assert apply_rule_once(mono, rule) == reference.apply_rule_once(mono, rule), \
+                (mono, rule.label)
+
+
 def test_linear_relation_consequence():
     # 4k*phi = f(phi)*phi^2 with f integral: equivalently g reduces to zero
     for n in (3, 4, 5):

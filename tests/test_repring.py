@@ -28,6 +28,13 @@ def test_params():
         GroupParams(2)
 
 
+@pytest.mark.parametrize("n", [3.0, "3", True])
+def test_params_reject_a_non_integer_n(n):
+    # 3.0 == 3 and hashes alike, so it would share the caches keyed by n
+    with pytest.raises(TypeError):
+        GroupParams(n)
+
+
 def test_canonical_d_endpoints():
     assert canonical_d(P4, 0) == el(P4, one=1, eta1=1)
     assert canonical_d(P4, 4) == el(P4, eta2=1, eta3=1)

@@ -373,6 +373,8 @@ class Substitution:
     def power(self, var: int, e: int):
         """Image ``var`` (0: v1, 1: v2, 2: phi) to the power e, cached."""
         cache = self._pows[var]
+        if e < 0:
+            raise ValueError(f"negative powers are not defined in {cache[0].ring.name}")
         while len(cache) <= e:
             cache.append(cache[-1] * cache[1])
         return cache[e]

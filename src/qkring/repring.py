@@ -18,10 +18,10 @@ of each basis product with the pointwise product of characters.
 
 Both certifiers read one sparse table, ``_character_table``: its k + 3
 distinct Z[zeta] values are held once, and each character is a row of
-indices into them.  They work on the nonzero terms of those values (an
-irreducible value is an integer or zeta^a + zeta^-a, so it has at most
-two), and their Z[zeta] products use only the table that ``intmath`` builds
-from zeta^k = -1; the fold rules above never enter the oracle.  Neither
+indices into them.  They read the products that ``_product_terms`` forms by
+``CyclotomicInt``'s own multiplication, once for each pair of values that
+meet on a class, through the table that ``intmath`` builds from
+zeta^k = -1 alone; the fold rules above never enter the oracle.  Neither
 certifier halves its work by symmetry: every ordered pair (i, j) is
 computed on both sides.  So an R defect in b_i * b_j that is absent from
 b_j * b_i fails at exactly that pair, and a one-sided Z[zeta] defect fails
@@ -232,6 +232,20 @@ def _inner_product_value(total: CyclotomicInt, params: GroupParams) -> int:
     return q
 
 
+def _product_terms(values, left, right):
+    """``terms[x][y]``: the nonzero terms (e, c) of the ``CyclotomicInt``
+    product values[x] * values[y], formed once for each pair of ids that meet
+    on a class (x = left[i][g] and y = right[j][g]); None where none meet."""
+    terms = [[None] * len(values) for _ in values]
+    for xs, ys in zip(zip(*left), zip(*right)):
+        for x in set(xs):
+            for y in set(ys):
+                if terms[x][y] is None:
+                    product = (values[x] * values[y]).coeffs
+                    terms[x][y] = tuple((e, c) for e, c in enumerate(product) if c)
+    return terms
+
+
 def verify_structure_constants(params: GroupParams) -> Report:
     """Compare relation-driven products against the character oracle.
 
@@ -246,31 +260,26 @@ def verify_structure_constants(params: GroupParams) -> Report:
 
     Class by class, sum over t of N_ij^t * chi_t(g), read off the entry of
     b_i * b_j in R's table with no product taken, is compared with the
-    ``CyclotomicInt`` product chi_i(g) * chi_j(g).  Each Z[zeta] value is
-    compared as one integer, sum of c * 2^(B*e) over its terms c * zeta^e;
-    the encoding is linear, so the left side is the same combination of the
-    encoded character values.  The width B is read off the R and Z[zeta]
-    tables (``_code_width``), so that every coefficient on either side lies
-    strictly between -2^(B-1) and 2^(B-1), where two encodings are equal
-    only if the coefficient vectors are.  Each product of a distinct pair of
-    values is computed once: 4,325 products serve the 300,763 class
-    comparisons at n = 8.
+    product chi_i(g) * chi_j(g) that ``_product_terms`` forms.  Each Z[zeta]
+    value is compared as one integer, sum of c * 2^(B*e) over its terms
+    c * zeta^e; the encoding is linear, so the left side is the same
+    combination of the encoded character values.  The width B is read off
+    R's table and the products formed (``_code_width``), so that every
+    coefficient on either side lies strictly between -2^(B-1) and 2^(B-1),
+    where two encodings are equal only if the coefficient vectors are.
+    Each product of a distinct pair of values is formed once: 4,325
+    products serve the 300,763 class comparisons at n = 8.
     """
     values, ids, _ = _character_table(params.n)
-    width = _code_width(params, values)
+    products = _product_terms(values, ids, ids)
+    width = _code_width(params, values, products)
 
-    def code(value):
-        return sum(c << (width * e) for e, c in enumerate(value.coeffs) if c)
+    def code(terms):
+        return sum(c << (width * e) for e, c in terms)
 
-    value_codes = [code(value) for value in values]
+    value_codes = [code(enumerate(value.coeffs)) for value in values]
     codes = [[value_codes[x] for x in chi] for chi in ids]
-    # pointwise[x][y] codes values[x] * values[y]
-    pointwise = [[None] * len(values) for _ in values]
-    for column in zip(*ids):
-        for x in set(column):
-            for y in set(column):
-                if pointwise[x][y] is None:
-                    pointwise[x][y] = code(values[x] * values[y])
+    pointwise = [[None if terms is None else code(terms) for terms in row] for row in products]
     labels = basis_labels(params)
     checks = []
     for i, row in enumerate(_ring(params.n).table):
@@ -285,26 +294,22 @@ def verify_structure_constants(params: GroupParams) -> Report:
     return Report(f"structure constants, n={params.n}", tuple(checks))
 
 
-def _code_width(params: GroupParams, values) -> int:
+def _code_width(params: GroupParams, values, products) -> int:
     """Bit width B of the integer code of a Z[zeta] value in
     ``verify_structure_constants``.
 
     A coefficient of sum over t of N_ij^t * chi_t(g) is at most S * M in
     size, where S is the largest sum of |N_ij^t| over an entry of R's table
     (b_i * b_j is that entry) and M the largest character coefficient.  A
-    coefficient of chi_i(g) * chi_j(g) is at most L^2 * Z, where L is the
-    largest sum of |coefficients| of a character value and Z the largest
-    such sum over an entry of the Z[zeta] table.  B = 1 + the bit length of
-    the larger bound.
+    coefficient of chi_i(g) * chi_j(g) is a term of a product that
+    ``_product_terms`` formed, so the largest of those bounds that side
+    exactly, and a Z[zeta] table that inflates a product widens the codes
+    with it.  B is 1 + the bit length of the larger bound.
     """
-    def largest_sum(ring_table):
-        return max(sum(abs(c) for _, c in entry) for row in ring_table for entry in row)
-
-    s = largest_sum(_ring(params.n).table)
-    z = largest_sum(values[0].ring.table)
+    s = max(sum(abs(c) for _, c in entry) for row in _ring(params.n).table for entry in row)
     m = max(abs(c) for value in values for c in value.coeffs)
-    norm = max(sum(map(abs, value.coeffs)) for value in values)
-    return max(s * m, norm * norm * z).bit_length() + 1
+    p = max((abs(c) for row in products for terms in row if terms for _, c in terms), default=0)
+    return max(s * m, p).bit_length() + 1
 
 
 def verify_orthogonality(params: GroupParams) -> Report:
@@ -313,31 +318,24 @@ def verify_orthogonality(params: GroupParams) -> Report:
     A pair whose inner product is not an integer fails with that value.
 
     Each entry sums |g| * chi_i(g) * conj(chi_j(g)) into one k-long integer
-    vector, over the nonzero terms of both values and through the Z[zeta]
-    table, with chi_i(g) on the left of each product, and then takes the
-    quotient by |G| with ``_inner_product_value``.
+    vector, over the terms of the products that ``_product_terms`` forms,
+    with chi_i(g) on the left of each, and then takes the quotient by |G|
+    with ``_inner_product_value``.
     """
     values, ids, conj = _character_table(params.n)
-    nonzero = [tuple((e, c) for e, c in enumerate(value.coeffs) if c) for value in values]
-    terms = [[nonzero[x] for x in chi] for chi in ids]
-    conjugates = [[nonzero[conj[x]] for x in chi] for chi in ids]
-    zeta_table = values[0].ring.table
+    partners = [[conj[y] for y in chi] for chi in ids]
+    terms = _product_terms(values, ids, partners)
     sizes = class_sizes(params)
     labels = basis_labels(params)
-    k = params.k
     checks = []
-    for i, f in enumerate(terms):
-        for j, g in enumerate(conjugates):
-            total = [0] * k
-            for size, xs, ys in zip(sizes, f, g):
-                for a, x in xs:
-                    row = zeta_table[a]
-                    for b, y in ys:
-                        sxy = size * x * y
-                        for t, c in row[b]:
-                            total[t] += sxy * c
+    for i, f in enumerate(ids):
+        for j, g in enumerate(partners):
+            total = [0] * params.k
+            for size, x, y in zip(sizes, f, g):
+                for e, c in terms[x][y]:
+                    total[e] += size * c
             try:
-                value = _inner_product_value(CyclotomicInt(k, total), params)
+                value = _inner_product_value(CyclotomicInt(params.k, total), params)
                 ok, detail = value == (1 if i == j else 0), f"value {value}"
             except ValueError as exc:
                 ok, detail = False, str(exc)

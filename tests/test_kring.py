@@ -1,4 +1,5 @@
 import random
+import re
 import subprocess
 import sys
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkring import kring
+from qkring import kring, lens
 from qkring.adams import g_poly
 from qkring.kring import (KElement, apply_rule_once, basis_change_matrix,
                           embed_to_R, fp_from_phipoly, fp_mul, fp_neg,
@@ -155,6 +156,25 @@ def test_power_chain_is_powers_of_phi(n):
     phi = phi_element(params)
     for e in range(2 * params.k + 1):
         assert kring._embedding(n).power(2, e) == phi ** e
+
+
+@pytest.mark.parametrize("sub,ring", [(lambda: kring._embedding(3), "R(Q_8)"),
+                                      (lambda: kring._embedding(4), "R(Q_16)"),
+                                      (lambda: lens._substitution(2), "Z[eta]/(eta^4 - 1)")],
+                         ids=["embedding-n3", "embedding-n4", "lens-k2"])
+def test_substitution_rejects_negative_powers(sub, ring):
+    # a warm cache must not answer a negative exponent with a positive power
+    sub = sub()
+    sub.power(2, 3)
+    message = f"negative powers are not defined in {re.escape(ring)}"
+    for var in range(3):
+        with pytest.raises(ValueError, match=message):
+            sub.power(var, -1)
+    for mono in [(0, 0, -1), (0, -2, 0), (1, 0, -2)]:
+        with pytest.raises(ValueError, match=message):
+            sub.monomial(mono)
+        with pytest.raises(ValueError, match=message):
+            sub.of_formal({mono: 1})
 
 
 @pytest.mark.parametrize("n,size", [(3, 5), (4, 7), (6, 19)])

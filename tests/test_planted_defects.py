@@ -6,6 +6,7 @@ set.  The certifier concerned must catch it and name its witness.
 """
 
 import functools
+import itertools
 import json
 import re
 
@@ -16,14 +17,18 @@ from qkring.repring import GroupParams
 from reference import ClassFunction, character_of, character_table, inner_product, pointwise
 
 
-@pytest.fixture
-def fresh_caches():
-    """Clears, after the test, every cache that may hold a planted table or
-    products made with one."""
-    yield
+def clear_caches():
+    """Clears every cache that may hold a planted table or products made
+    with one."""
     for cache in (repring._ring, kring._ring, kring._embedding, lens._ring, intmath._ring,
                   repring._character_table):
         cache.cache_clear()
+
+
+@pytest.fixture
+def fresh_caches():
+    yield
+    clear_caches()
 
 
 @pytest.fixture
@@ -56,6 +61,31 @@ def test_rep_table_defect_fails_at_that_pair(plant, i, j):
     labels = repring.basis_labels(params)
     failures = repring.verify_structure_constants(params).failures()
     assert [c.name for c in failures] == [f"{labels[i]}*{labels[j]}"]
+
+
+def one_sided_mutants(table):
+    """Every copy of a ring's table with 1 added to the coefficient of b_t
+    in b_i * b_j, but not in b_j * b_i: pairs ((i, j, t), copy)."""
+    for i, j, t in itertools.product(range(len(table)), repeat=3):
+        entry = dict(table[i][j])
+        entry[t] = entry.get(t, 0) + 1
+        mutant = [list(row) for row in table]
+        mutant[i][j] = tuple(sorted((s, c) for s, c in entry.items() if c))
+        yield (i, j, t), mutant
+
+
+@pytest.mark.parametrize("n,count", [(3, 125), (4, 343)])
+def test_every_one_sided_rep_table_defect_fails_at_that_pair(
+        monkeypatch, fresh_caches, n, count):
+    params = GroupParams(n)
+    labels = repring.basis_labels(params)
+    ring = repring._ring(n)
+    mutants = list(one_sided_mutants(ring.table))
+    assert len(mutants) == count
+    for (i, j, _), table in mutants:
+        monkeypatch.setitem(vars(ring), "table", table)
+        failures = repring.verify_structure_constants(params).failures()
+        assert [c.name for c in failures] == [f"{labels[i]}*{labels[j]}"]
 
 
 def test_rep_table_defect_witness_in_json(plant, capsys):
@@ -351,7 +381,8 @@ def test_structure_verdicts_hold_when_a_defect_matches_the_true_code_width(
     # tables give, its code equals that of zeta^2, so the codes must widen
     # with the Z[zeta] table for the verdicts to stay the dense reference's
     params = GroupParams(4)
-    width = repring._code_width(params, repring._character_table(4)[0])
+    values, ids, _ = repring._character_table(4)
+    width = repring._code_width(params, values, repring._product_terms(values, ids, ids))
     ring = intmath._ring(4)
     table = [list(row) for row in ring.table]
     assert table[1][1] == ((2, 1),)
@@ -363,6 +394,35 @@ def test_structure_verdicts_hold_when_a_defect_matches_the_true_code_width(
                 for a, fa in zip(basis, characters) for b, fb in zip(basis, characters)]
     checks = repring.verify_structure_constants(params).checks
     assert [c.passed for c in checks] == verdicts and not all(verdicts)
+
+
+# caught by structure constants, by orthogonality, by structure constants
+# alone, and by neither.  At k = 4 the 28 caught by neither are the entries
+# in row or column 2, which no character product reads: no k = 4 character
+# value has a zeta^2 term.
+@pytest.mark.parametrize("n,counts", [(3, (2, 2, 0, 6)), (4, (36, 20, 16, 28))])
+def test_every_one_sided_cyclotomic_defect_matches_the_dense_reference(
+        monkeypatch, fresh_caches, n, counts):
+    params = GroupParams(n)
+    caught, unread = [], []
+    for (i, j, _), table in one_sided_mutants(intmath._ring(params.k).table):
+        clear_caches()
+        monkeypatch.setitem(vars(intmath._ring(params.k)), "table", table)
+        characters = character_table(params)
+        orthogonality = [(c.passed, c.detail) for c in repring.verify_orthogonality(params).checks]
+        assert orthogonality == dense_gram_checks(characters)
+        basis = repring.basis_elements(params)
+        verdicts = [character_of(a * b) == pointwise(fa, fb)
+                    for a, fa in zip(basis, characters) for b, fb in zip(basis, characters)]
+        assert [c.passed for c in repring.verify_structure_constants(params).checks] == verdicts
+        structure, gram = not all(verdicts), not all(passed for passed, _ in orthogonality)
+        caught.append((structure, gram))
+        if not (structure or gram):
+            unread.append((i, j))
+    assert (sum(s for s, _ in caught), sum(g for _, g in caught),
+            sum(s and not g for s, g in caught), len(unread)) == counts
+    if n == 4:
+        assert all(2 in pair for pair in unread)
 
 
 # ring, pair (i, j) with a nonzero product, constructor from coefficients

@@ -137,7 +137,7 @@ class CyclotomicInt(Element):
         return self._new((c[0],) + tuple(-c[self.k - j] for j in range(1, self.k)))
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def as_int(self) -> int:
         if not self.is_rational():

@@ -81,10 +81,6 @@ def fp_sum(*fps) -> dict:
     return out
 
 
-def fp_neg(fp: dict) -> dict:
-    return {m: -c for m, c in fp.items()}
-
-
 def fp_mul(f: dict, g: dict) -> dict:
     out: dict = {}
     for (a1, b1, c1), x in f.items():
@@ -131,7 +127,7 @@ class Rule(Record):
 
     def difference(self) -> dict:
         """pattern - rhs, the relation moved to one side."""
-        return fp_sum({self.pattern: 1}, fp_neg(dict(self.rhs)))
+        return fp_sum({self.pattern: 1}, {m: -c for m, c in self.rhs})
 
     def __str__(self) -> str:
         return f"{mono_name(self.pattern)} = {fp_format(dict(self.rhs))}"
@@ -144,10 +140,8 @@ class RelationSet(Record):
                  "rules")  # the six oriented rewrite rules, priority order
 
     def relation(self, label: str) -> Rule:
-        for r in self.relations:
-            if r.label == label:
-                return r
-        raise KeyError(label)
+        """The rule labelled ``label``, as the rewriter and the K table read it."""
+        return {r.label: r for r in self.rules}[label]
 
 
 def _freeze(fp: dict) -> tuple:
@@ -200,23 +194,21 @@ def apply_rule_once(mono: Mono, rule: Rule) -> dict:
     return fp_mul({tuple(m - p for m, p in zip(mono, rule.pattern)): 1}, dict(rule.rhs))
 
 
-def rewrite(expr: dict, rset: RelationSet, labels=None) -> dict:
-    """Apply oriented rules until none of the allowed ones fires.
+def rewrite(expr: dict, rset: RelationSet) -> dict:
+    """Apply the oriented rules of ``rset`` until none fires.
 
-    With the full rule set the result is supported on the normal-form basis;
-    with a restricted label set it may retain stuck monomials.  It serves
-    ``reduce``, local confluence and the redundancy of relation 3; neither
-    the table of basis products nor the minimality certificate uses it.
+    With the six rules of ``relations_for`` the result lies on the normal-form
+    basis.  A rule set that does not reach the basis, such as a subset passed
+    as ``rset.replace(rules=...)``, leaves stuck monomials in the result.
+    It serves ``reduce`` and local confluence, not the K table or other certifiers.
 
     Each step pops the largest monomial of the working set off a heap and
-    rewrites it by the first allowed rule, or moves it to the result, which
+    rewrites it by the first rule that applies, or moves it to the result, which
     holds only stuck monomials.  So each rewrite picks the largest reducible
     monomial of the two together, as re-sorting them would, for any
     terminating rule set: a product not lower than the popped monomial pops
     next, and a stuck one that comes back is added to the result again.
     """
-    rules = rset.rules if labels is None else tuple(
-        r for r in rset.rules if r.label in labels)
     work = {m: c for m, c in expr.items() if c}
     heap = [_measure(m) for m in work]
     heapify(heap)
@@ -224,7 +216,7 @@ def rewrite(expr: dict, rset: RelationSet, labels=None) -> dict:
     while heap:
         mono = heappop(heap)[-1]
         coeff = work.pop(mono, 0)
-        rule = next((r for r in rules if r.applies_to(mono)), None)
+        rule = next((r for r in rset.rules if r.applies_to(mono)), None)
         if rule is None or not coeff:
             fp_add_term(out, mono, coeff)
             continue
@@ -462,17 +454,21 @@ def verify_relations_in_R(n: int) -> Report:
 
 
 def verify_relation3_redundant(n: int) -> Report:
-    """(phi + 2) * (relation 6) reduced with relations 1, 2, 4, 5 only must
-    give back +-g_{2k}(phi); the phi^(k+1) rule is never used.  A failure
-    shows what the product reduces to."""
+    """Relation 3 lies in the ideal of the others: with r_j relation j moved
+    to one side and a, b the v1, v2 coefficients on relation 6's right side,
+    (phi + 2)*r6 - (v2 - a)*r4 + b*r5 + g_{2k}(phi) = 0 in Z[v1, v2, phi]
+    (derived in the README).  A failure shows the cofactors and the residue."""
     rset = relations_for(n)
-    diff = rset.relation("relation6").difference()
-    prod = fp_mul({(0, 0, 1): 1, (0, 0, 0): 2}, diff)
-    red = rewrite(prod, rset, labels=("relation1", "relation2", "relation4", "relation5"))
-    gfp = fp_from_phipoly(g_poly(rset.k))
+    rhs6 = dict(rset.relation("relation6").rhs)
+    a, b = rhs6.get((1, 0, 0), 0), rhs6.get((0, 1, 0), 0)
+    cofactors = ((6, {(0, 0, 1): 1, (0, 0, 0): 2}), (4, {(0, 1, 0): -1, (0, 0, 0): a}),
+                 (5, {(0, 0, 0): b}))
+    residue = fp_sum(fp_from_phipoly(g_poly(rset.k)), *(
+        fp_mul(q, rset.relation(f"relation{j}").difference()) for j, q in cofactors))
+    terms = " + ".join(f"({fp_format(q)})*r{j}" for j, q in cofactors)
     return Report(f"relation 3 redundancy, n={n}", (
-        Check("relation3 redundant via relations 1,2,4,5", red in (gfp, fp_neg(gfp)),
-              f"(phi + 2)*(relation 6) reduces to {fp_format(red)}"),))
+        Check("relation3 redundant via relations 1,2,4,5", not residue,
+              f"{terms} + g_{2 * rset.k} = {fp_format(residue)}"),))
 
 
 MINIMALITY_DEGREES = (1, 2, 3)

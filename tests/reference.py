@@ -245,18 +245,16 @@ def apply_rule_once(mono: tuple, rule) -> dict:
     return out
 
 
-def rewrite(expr: dict, rset, labels=None) -> dict:
+def rewrite(expr: dict, rset) -> dict:
     """Rewrite the largest reducible monomial, by (number of v-factors,
-    total degree, exponents), with the first allowed rule in priority
-    order; re-sort the working set after every step, and stop when no
+    total degree, exponents), with the first rule of ``rset.rules`` that
+    applies; re-sort the working set after every step, and stop when no
     monomial is reducible."""
-    rules = rset.rules if labels is None else tuple(
-        r for r in rset.rules if r.label in labels)
     work = {m: c for m, c in expr.items() if c}
     while True:
         pick = None
         for mono in sorted(work, key=lambda m: (m[0] + m[1], sum(m), m), reverse=True):
-            for rule in rules:
+            for rule in rset.rules:
                 if rule.applies_to(mono):
                     pick = (mono, rule)
                     break

@@ -206,21 +206,34 @@ def test_appended_relation3_fails_minimality(monkeypatch, capsys):
                        "detail": detail}]
 
 
-def test_changed_relation4_fails_redundancy(monkeypatch, capsys):
-    # relation 4 planted as v1*phi = -3*v1: the reduction of (phi + 2)*(relation 6)
-    # rewrites phi*v1*v2 with it, and -v1*v2 is left stuck
-    true_reduction = kring.verify_relation3_redundant(3).checks[0].detail
-    patch_relations(monkeypatch, 3, rules=lambda r: tuple(
-        rule.replace(rhs=(((1, 0, 0), -3),)) if rule.label == "relation4"
-        else rule for rule in r.rules))
-    report = kring.verify_relation3_redundant(3)
-    detail = "(phi + 2)*(relation 6) reduces to -phi^3 - 6*phi^2 - 8*phi - v1*v2 - 2*v1"
-    assert report.checks[0].detail == detail != true_reduction
+def assert_changed_relation_fails_redundancy(monkeypatch, capsys, n, label, rhs, detail):
+    """Relation ``label`` planted with right side ``rhs`` at n: the identity
+    leaves a residue, and the library and ``verify`` show ``detail``."""
+    true_identity = kring.verify_relation3_redundant(n).checks[0].detail
+    patch_relations(monkeypatch, n, rules=lambda r: tuple(
+        rule.replace(rhs=rhs) if rule.label == label else rule for rule in r.rules))
+    report = kring.verify_relation3_redundant(n)
+    assert report.checks[0].detail == detail != true_identity
     assert not report.all_passed
-    assert cli.main(["verify", "--n", "3", "--suite", "redundancy", "--format", "json"]) == 1
+    assert cli.main(["verify", "--n", str(n), "--suite", "redundancy", "--format", "json"]) == 1
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert checks == [{"name": "relation3 redundant via relations 1,2,4,5", "passed": False,
                        "detail": detail}]
+
+
+def test_changed_relation4_fails_redundancy(monkeypatch, capsys):
+    # relation 4 planted as v1*phi = -3*v1 adds v1 to r4, times its cofactor -v2 - 2
+    assert_changed_relation_fails_redundancy(
+        monkeypatch, capsys, 3, "relation4", (((1, 0, 0), -3),),
+        "(phi + 2)*r6 + (-v2 - 2)*r4 + (-2)*r5 + g_4 = -v1*v2 - 2*v1")
+
+
+def test_changed_relation5_fails_redundancy(monkeypatch, capsys):
+    # relation 5 planted with -3*v2 for -2*v2 adds v2 to r5, times its cofactor -2
+    assert_changed_relation_fails_redundancy(
+        monkeypatch, capsys, 4, "relation5",
+        (((0, 0, 1), 8), ((0, 0, 2), 6), ((0, 0, 3), 1), ((0, 1, 0), -3)),
+        "(phi + 2)*r6 + (-v2)*r4 + (-2)*r5 + g_8 = -2*v2")
 
 
 def test_confluence_defect_names_the_differing_normal_forms(monkeypatch, capsys):

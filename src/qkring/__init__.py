@@ -19,10 +19,9 @@ _MODULES = {
     "intmath": ("CyclotomicInt", "IntPoly"),
     "intmatrix": ("SmithForm", "determinant", "hermite_basis_mod", "smith_normal_form"),
     "kring": ("KElement", "MinimalityCertificate", "RelationSet", "basis_change_matrix",
-              "embed_to_R", "minimality_certificates", "multiply_nf",
-              "reduce", "relations_for", "verify_embedding", "verify_local_confluence",
-              "verify_minimality_witness", "verify_relation3_redundant",
-              "verify_relations_in_R"),
+              "embed_to_R", "minimality_certificates", "reduce", "relations_for",
+              "verify_embedding", "verify_local_confluence", "verify_minimality_witness",
+              "verify_relation3_redundant", "verify_relations_in_R"),
     "lens": ("LensElement", "eta_power", "lens_multiply", "restrict",
              "verify_relations_vanish", "verify_restriction_hom", "w_element"),
     "repring": ("GroupParams", "RepElement", "canonical_d", "multiply", "phi_element",

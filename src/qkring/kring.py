@@ -30,10 +30,10 @@ phi*phi^k is the right side of the phi^(k+1) rule.  Applying it j times to
 chain from 1; v1^2, v2^2 and v1*v2 are the right sides of relations 1, 2
 and 6.
 
-Correctness is certified against R(Q_{4k}): the basis-change matrix of the
-embedding is unimodular and normal-form multiplication commutes with the
-embedding on all basis pairs.  What the square relies on in R is stated
-once, in ``verify_embedding``.
+Correctness is certified against R(Q_{4k}): the basis-change matrix M of
+the embedding is unimodular, and the table of basis products, contracted
+with the rows of M, commutes with the embedding on all basis pairs.  What
+the square relies on in R is stated once, in ``verify_embedding``.
 
 Minimality is certified by ideal non-membership: each presentation relation
 r has a degree D and an exponent e for which r is outside
@@ -345,11 +345,6 @@ def reduce(expr: dict, n: int) -> KElement:
                                      "stuck monomial {} survived reduction"))
 
 
-def multiply_nf(a: KElement, b: KElement) -> KElement:
-    """The product a * b, which contracts the table of reduced basis products."""
-    return a * b
-
-
 # ---------------------------------------------------------------------------
 # substitution of images; the embedding into R(Q_{4k})
 # ---------------------------------------------------------------------------
@@ -588,27 +583,12 @@ def verify_local_confluence(n: int) -> Report:
     return Report(f"local confluence, n={n}", tuple(checks))
 
 
-def _embedding_witness(prod: KElement, lhs: RepElement, rhs: RepElement) -> str:
-    """The K product and the first R basis label where its image differs
-    from the R product of the images."""
+def _embedding_witness(k_side, lhs: RepElement, rhs: RepElement) -> str:
+    """The K product ``k_side``, as text, and the first R basis label where
+    its image differs from the R product of the images."""
     label, x, y = next((label, x, y) for label, x, y
                        in zip(lhs.ring.labels, lhs.coeffs, rhs.coeffs) if x != y)
-    return f"K gives {prod}; coefficient of {label}: {x} embedded, {y} in R"
-
-
-def _embedding_square(n: int):
-    """(i, j, K product, its image, R side) for each ordered pair of basis
-    indices, in order.  The R side is the image of the formal product of the
-    two basis monomials, their exponent triples added."""
-    basis = nf_basis(n)
-    monos = _basis_monos(GroupParams(n).k)
-    monomial = _embedding(n).monomial
-    embed = lru_cache(maxsize=None)(embed_to_R)
-    for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            prod = multiply_nf(a, b)
-            rhs = monomial(tuple(x + y for x, y in zip(monos[i], monos[j])))
-            yield i, j, prod, embed(prod), rhs
+    return f"K gives {k_side}; coefficient of {label}: {x} embedded, {y} in R"
 
 
 def verify_embedding(n: int) -> Report:
@@ -622,14 +602,27 @@ def verify_embedding(n: int) -> Report:
     ``repring.verify_structure_constants`` and ``verify_orthogonality``
     together prove the character map an injective ring homomorphism into
     class functions under the pointwise product.  Called on its own, this
-    check assumes them.  The K side is computed for every ordered pair, and
-    each distinct product is embedded once.
+    check assumes them.  The K side forms no K product: each distinct entry
+    b_i * b_j of K's table is contracted once with the basis-change rows M,
+    the sum of c * M[t] over its terms (t, c).
     """
-    _, det = _basis_change(n)
+    images, det = _basis_change(n)
     checks = [Check("basis_change_unimodular", abs(det) == 1, f"determinant {det}")]
+    monos = _basis_monos(GroupParams(n).k)
     labels = nf_basis_labels(n)
-    for i, j, prod, lhs, rhs in _embedding_square(n):
-        ok = lhs == rhs
-        checks.append(Check(f"embed({labels[i]}*{labels[j]})", ok,
-                            "" if ok else _embedding_witness(prod, lhs, rhs)))
+    monomial = _embedding(n).monomial
+    embedded = {(): 0 * images[0]}  # entry -> sum of c * M[t] over its terms (t, c)
+    for i, row in enumerate(_ring(n).table):
+        for j, entry in enumerate(row):
+            lhs = embedded.get(entry)
+            if lhs is None:
+                columns = zip(*(images[t].coeffs for t, _ in entry))
+                coeffs = [c for _, c in entry]
+                lhs = embedded[entry] = images[0]._new(sum(map(mul, coeffs, column))
+                                                       for column in columns)
+            rhs = monomial(tuple(x + y for x, y in zip(monos[i], monos[j])))
+            ok = lhs == rhs
+            checks.append(Check(f"embed({labels[i]}*{labels[j]})", ok, "" if ok else
+                                _embedding_witness(fp_format({monos[t]: c for t, c in entry}),
+                                                   lhs, rhs)))
     return Report(f"presentation certificate, n={n}", tuple(checks))

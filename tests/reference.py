@@ -22,19 +22,23 @@ textbook route to a value that the package computes another way:
   ``kring.rewrite`` pops monomials off a heap;
 * ``apply_rule_once`` adds the rule's terms one by one, where
   ``kring.apply_rule_once`` is one ``fp_mul``;
-* ``restrict`` loops over the d's, where ``lens.restrict`` maps slices.
+* ``restrict`` loops over the d's, where ``lens.restrict`` maps slices;
+* ``embedding_square_reference`` forms and embeds the K product of every
+  pair, where ``kring.verify_embedding`` contracts K's table entries with
+  the basis-change rows.
 """
 
+from functools import lru_cache
 from itertools import islice
 from math import comb
 
-from qkring import repring
+from qkring import kring, repring
 from qkring.adams import PhiPoly, psi_oracles
 from qkring.intmath import CyclotomicInt, IntPoly
 from qkring.intmatrix import determinant
 from qkring.kring import fp_add_term, mono_name
 from qkring.lens import LensElement
-from qkring.report import Record
+from qkring.report import Check, Record, Report
 from qkring.repring import ETA1, ETA2, ETA3, GroupParams, RepElement, class_sizes
 
 
@@ -281,3 +285,25 @@ def restrict(r: RepElement) -> LensElement:
             out[i] += c
             out[2 * k - i] += c
     return LensElement(k, tuple(out))
+
+
+def embedding_square_reference(n: int) -> Report:
+    """``kring.verify_embedding`` with the K side formed as products: the K
+    product of every ordered pair of basis elements, each distinct one
+    embedded once by ``embed_to_R``, against the same R side."""
+    basis = kring.nf_basis(n)
+    monos = kring._basis_monos(GroupParams(n).k)
+    labels = kring.nf_basis_labels(n)
+    monomial = kring._embedding(n).monomial
+    embed = lru_cache(maxsize=None)(kring.embed_to_R)
+    _, det = kring._basis_change(n)
+    checks = [Check("basis_change_unimodular", abs(det) == 1, f"determinant {det}")]
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            prod = a * b
+            lhs = embed(prod)
+            rhs = monomial(tuple(x + y for x, y in zip(monos[i], monos[j])))
+            ok = lhs == rhs
+            checks.append(Check(f"embed({labels[i]}*{labels[j]})", ok,
+                                "" if ok else kring._embedding_witness(prod, lhs, rhs)))
+    return Report(f"presentation certificate, n={n}", tuple(checks))

@@ -11,8 +11,8 @@ from qkring import kring, lens
 from qkring.adams import g_poly
 from qkring.kring import (KElement, apply_rule_once, basis_change_matrix,
                           embed_to_R, fp_from_phipoly, fp_mul,
-                          minimality_certificates, mono_name,
-                          multiply_nf, nf_basis, nf_basis_labels, reduce,
+                          minimality_certificates, mono_name, nf_basis,
+                          nf_basis_labels, reduce,
                           relations_for, rewrite, verify_embedding,
                           verify_local_confluence, verify_minimality_witness,
                           verify_relation3_redundant, verify_relations_in_R)
@@ -56,7 +56,7 @@ def test_reduce_examples():
 def test_reduce_idempotent_on_normal_forms():
     pairs = [(a, b) for a in nf_basis(4) for b in nf_basis(4)]
     for a, b in pairs:
-        nf = multiply_nf(a, b)
+        nf = a * b
         assert reduce(nf.to_fp(), 4) == nf
 
 
@@ -69,11 +69,11 @@ def test_reduce_idempotent_random(n, data):
     assert reduce(nf.to_fp(), n) == nf
 
 
-def test_multiply_nf_examples():
-    assert multiply_nf(nf_basis(4)[2], nf_basis(4)[3]) == ke(4, v2=-2, phi=(8, 6, 1))
-    assert multiply_nf(nf_basis(3)[1], nf_basis(3)[1]) == ke(3, v1=-2)
+def test_nf_product_examples():
+    assert nf_basis(4)[2] * nf_basis(4)[3] == ke(4, v2=-2, phi=(8, 6, 1))
+    assert nf_basis(3)[1] * nf_basis(3)[1] == ke(3, v1=-2)
     for b in nf_basis(5):
-        assert multiply_nf(nf_basis(5)[0], b) == b
+        assert nf_basis(5)[0] * b == b
 
 
 def test_kelement_operators():
@@ -102,28 +102,25 @@ def test_embedding_commutes_with_product(n):
     images = [embed_to_R(b) for b in basis]
     for a, ia in zip(basis, images):
         for b, ib in zip(basis, images):
-            assert embed_to_R(multiply_nf(a, b)) == multiply(ia, ib)
-
-
-def all_pairs_square(n):
-    """The square as computed before its R side became the image of the
-    formal product: a dense product of two images for every unordered pair,
-    and a fresh embedding of every K product."""
-    basis = nf_basis(n)
-    images = [embed_to_R(b) for b in basis]
-    out = []
-    for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            prod = multiply_nf(a, b)
-            out.append((i, j, prod, embed_to_R(prod), images[min(i, j)] * images[max(i, j)]))
-    return out
+            assert embed_to_R(a * b) == multiply(ia, ib)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_embedding_square_matches_all_pairs_reference(n):
-    reference = all_pairs_square(n)
-    assert len(reference) == GroupParams(n).basis_size ** 2
-    assert list(kring._embedding_square(n)) == reference
+    # verify_embedding contracts K's table entries with the basis-change
+    # rows; the reference embeds the K product of every ordered pair
+    report = verify_embedding(n)
+    assert len(report.checks) == 1 + GroupParams(n).basis_size ** 2
+    assert report == reference.embedding_square_reference(n)
+
+
+def test_embedding_square_forms_no_k_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the embedding square formed a K product")
+
+    monkeypatch.setattr(KElement, "__mul__", refuse)
+    for n in range(3, 9):
+        assert verify_embedding(n).all_passed, n
 
 
 @settings(max_examples=40)

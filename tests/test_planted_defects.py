@@ -14,7 +14,8 @@ import pytest
 
 from qkring import adams, cli, intmath, kring, lens, repring, truncation
 from qkring.repring import GroupParams
-from reference import ClassFunction, character_of, character_table, inner_product, pointwise
+from reference import (ClassFunction, character_of, character_table, embedding_square_reference,
+                       inner_product, pointwise)
 
 
 def clear_caches():
@@ -114,6 +115,40 @@ def test_k_table_defect_fails_at_that_pair(plant, capsys, i, j, detail):
     assert [c for c in checks if not c["passed"]] == [
         {"name": name, "passed": False, "detail": detail}]
     assert not any("detail" in c for c in checks if c["passed"])
+
+
+@pytest.mark.parametrize("n,count", [(3, 125), (4, 343)])
+def test_every_one_sided_k_table_defect_fails_at_that_pair(
+        monkeypatch, fresh_caches, n, count):
+    labels = kring.nf_basis_labels(n)
+    ring = kring._ring(n)
+    mutants = list(one_sided_mutants(ring.table))
+    assert len(mutants) == count
+    for (i, j, _), table in mutants:
+        monkeypatch.setitem(vars(ring), "table", table)
+        failures = kring.verify_embedding(n).failures()
+        assert [c.name for c in failures] == [f"embed({labels[i]}*{labels[j]})"]
+        assert failures[0].witness.startswith("K gives ")
+
+
+def test_emptied_k_table_entry_embeds_to_zero(monkeypatch, fresh_caches):
+    ring = kring._ring(3)
+    table = [list(row) for row in ring.table]
+    table[1][2] = ()
+    monkeypatch.setitem(vars(ring), "table", table)
+    assert [(c.name, c.witness) for c in kring.verify_embedding(3).failures()] == [
+        ("embed(v1*v2)", "K gives 0; coefficient of 1: 0 embedded, 1 in R")]
+
+
+@pytest.mark.parametrize("ring,n,i,j", [(kring._ring, 3, 1, 2), (repring._ring, 4, 6, 4)],
+                         ids=["K", "R"])
+def test_planted_embedding_report_matches_all_pairs_reference(plant, ring, n, i, j):
+    # the images, and so both sides, are built after the planted table
+    clear_caches()
+    plant(ring(n), i, j)
+    report = kring.verify_embedding(n)
+    assert not report.all_passed
+    assert report == embedding_square_reference(n)
 
 
 def test_k_table_defect_fails_at_a_power_chain_pair(plant, capsys):

@@ -39,12 +39,13 @@ SUITES = ("relations", "oracle", "redundancy", "minimality", "restriction",
 def _cmd_present(args):
     from . import kring, repring
 
-    rset = kring.relations_for(args.n)
+    rules = kring.relations_for(args.n)
     params = repring.GroupParams(args.n)
     lines = [f"K-ring presentation for Q_{{2^{args.n}}} (group order {params.group_order})",
              "generators: v1, v2, phi"]
     rel_json = []
-    for rel in rset.relations:
+    for label in kring.PRESENTATION:
+        rel = kring.relation(rules, label)
         number = rel.label.removeprefix("relation")
         lines.append(f"relation {number}: {rel}")
         rel_json.append({"label": number, "lhs": kring.mono_name(rel.pattern),
@@ -145,8 +146,8 @@ def _cmd_consistency(args):
 # Values outside these bounds exit with 2; the library itself is unbounded.
 # The largest runs inside them, on a 2-core VM with Python 3.11.7 and no
 # bytecode cache: the whole grid, table --n-max 10 --N-max 16, 7.8-8.3 s at
-# 23 MB peak RSS (three runs), and verify --n 10 --suite all 56-68 s at
-# 163-173 MB (text and JSON, one run each).
+# 23 MB peak RSS (three runs), and verify --n 10 --suite all 45-47 s at
+# 159-169 MB (text and JSON, one run each).
 # option: (lowest, highest, highest as printed, default or None if required)
 OPTIONS = {
     "--n": (3, 10, "10", None),

@@ -19,6 +19,8 @@ lattice index D, and the order of phi.
 
 from __future__ import annotations
 
+from math import prod
+
 from .report import Record
 
 
@@ -35,12 +37,7 @@ class CohGroup(Record):
 
     def order(self):
         """Group order, or None when a factor is infinite cyclic."""
-        if any(f == 0 for f in self.factors):
-            return None
-        out = 1
-        for f in self.factors:
-            out *= f
-        return out
+        return None if 0 in self.factors else prod(self.factors)
 
     def __str__(self) -> str:
         if not self.factors:
@@ -71,7 +68,4 @@ def predicted_reduced_order(N: int, k: int) -> int:
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    out = 1
-    for p in range(2, 4 * N + 3, 2):
-        out *= h_group(p, k).order()
-    return out
+    return prod(h_group(p, k).order() for p in range(2, 4 * N + 3, 2))

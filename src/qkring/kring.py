@@ -10,9 +10,12 @@ phi = d_1 - 2.  The presentation relations are
     (6) v1*v2  = phi^2 + 4*phi - 2*v1 - 2*v2        (n = 3)
         v1*v2  = psi^k(phi) - 2*v2                  (n >= 4)
 
-together with the derived reduction g_{2k}(phi) = 0, kept only as the
-rewrite rule for phi^(k+1) (it is provably redundant as a presentation
-relation: see ``verify_relation3_redundant``).
+together with the derived reduction g_{2k}(phi) = 0, relation 3, kept only
+as the rewrite rule for phi^(k+1) (it is provably redundant as a
+presentation relation: see ``verify_relation3_redundant``).  All six are
+one tuple of ``Rule``s, ``relations_for(n)``, which every reader takes its
+rules from; ``PRESENTATION`` names the five presentation relations, and
+``relation`` finds a rule by its label.
 
 Formal polynomials in the generators are dictionaries keyed by exponent
 triples (a, b, c) for v1^a * v2^b * phi^c.  Oriented left-to-right, every
@@ -22,18 +25,21 @@ degree alone does not work: the right side of relation 5 contains
 phi^(k-1).)  Normal forms live on the basis {1, v1, v2, phi, ..., phi^k}.
 
 Their product contracts a table of basis products, built on the first
-product for each n without the rewriter.  Multiplication by phi is a
-linear operator on the basis: phi*1 = phi, phi*v1 and phi*v2 are the right
-sides of relations 4 and 5, phi*phi^j is phi^(j+1) for j < k, and
-phi*phi^k is the right side of the phi^(k+1) rule.  Applying it j times to
-1, v1 or v2 gives b*phi^j, and phi^i*phi^j is the (i+j)-th element of the
-chain from 1; v1^2, v2^2 and v1*v2 are the right sides of relations 1, 2
-and 6.
+product for each n without the rewriter.  The table finds each rule by the
+monomial it rewrites: a product of basis monomials that leaves the basis
+is a rule's pattern, and the rule's right side is its normal form.
+Multiplication by phi is a linear operator on the basis: phi*1 = phi,
+phi*v1 and phi*v2 are the right sides of relations 4 and 5, phi*phi^j is
+phi^(j+1) for j < k, and phi*phi^k is the right side of relation 3.
+Applying it j times to 1, v1 or v2 gives b*phi^j, and phi^i*phi^j is the
+(i+j)-th element of the chain from 1; v1^2, v2^2 and v1*v2 are the right
+sides of relations 1, 2 and 6.
 
 Correctness is certified against R(Q_{4k}): the basis-change matrix M of
-the embedding is unimodular, and the table of basis products, contracted
-with the rows of M, commutes with the embedding on all basis pairs.  What
-the square relies on in R is stated once, in ``verify_embedding``.
+the embedding is unimodular, and the square commutes on all basis pairs:
+the image of each table entry b_i*b_j equals the image of the formal
+product m_i*m_j, both evaluated by the embedding's one ``Substitution``.
+What the square relies on in R is stated once, in ``verify_embedding``.
 
 Minimality is certified by ideal non-membership: each presentation relation
 r has a degree D and an exponent e for which r is outside
@@ -51,7 +57,7 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from heapq import heapify, heappop, heappush
 from math import prod
-from operator import mul
+from operator import add, mul
 
 from .adams import PhiPoly, g_poly, psi_series
 from .freemodule import Element, Ring, commutative_table, format_terms
@@ -112,7 +118,7 @@ def fp_format(fp: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# relation set
+# the presentation
 # ---------------------------------------------------------------------------
 
 class Rule(Record):
@@ -133,48 +139,34 @@ class Rule(Record):
         return f"{mono_name(self.pattern)} = {fp_format(dict(self.rhs))}"
 
 
-class RelationSet(Record):
-    __slots__ = ("n", "k",
-                 "relations",  # presentation relations 1, 2, 4, 5, 6
-                 "relation3",  # derived: phi^(k+1) -> phi^(k+1) - g_{2k}(phi)
-                 "rules")  # the six oriented rewrite rules, priority order
-
-    def relation(self, label: str) -> Rule:
-        """The rule labelled ``label``, as the rewriter and the K table read it."""
-        return {r.label: r for r in self.rules}[label]
+PRESENTATION = ("relation1", "relation2", "relation4", "relation5", "relation6")
 
 
-def _freeze(fp: dict) -> tuple:
-    return tuple(sorted(fp.items()))
+def relation(rules, label: str) -> Rule:
+    """The rule labelled ``label`` among ``rules``."""
+    return {r.label: r for r in rules}[label]
 
 
 @lru_cache(maxsize=None)
-def relations_for(n: int) -> RelationSet:
-    """Build the oriented relation set for Q_{2^n}, psi-polynomials expanded."""
-    params = GroupParams(n)
-    k = params.k
-
+def relations_for(n: int) -> tuple:
+    """The six oriented rewrite rules for Q_{2^n}, psi-polynomials expanded,
+    in priority order: relations 4, 1, 5, 2 and 6, then the derived
+    relation 3, phi^(k+1) -> phi^(k+1) - g_{2k}(phi)."""
+    k = GroupParams(n).k
     v1, v2, phi = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-    rhs1 = {v1: -2}
-    rhs2 = {v2: -2}
-    rhs4 = {v1: -2}
     rhs5 = fp_sum(fp_from_phipoly(psi_series(k - 1)), {phi: -1, v2: -2})
     if n == 3:
         rhs6 = {(0, 0, 2): 1, phi: 4, v1: -2, v2: -2}
     else:
         rhs6 = fp_sum(fp_from_phipoly(psi_series(k)), {v2: -2})
-
+    # the reduction that keeps phi-powers <= k; g is monic of degree k+1, so
+    # the rule's difference is g exactly
     g = g_poly(k)
-    relations = tuple(Rule(f"relation{i}", pattern, _freeze(rhs)) for i, pattern, rhs in (
-        (1, (2, 0, 0), rhs1), (2, (0, 2, 0), rhs2), (4, (1, 0, 1), rhs4),
-        (5, (0, 1, 1), rhs5), (6, (1, 1, 0), rhs6)))
-    r1, r2, r4, r5, r6 = relations
-    # phi^(k+1) -> phi^(k+1) - g, the reduction that keeps phi-powers <= k;
-    # g is monic of degree k+1, so the rule's difference is g exactly
-    relation3 = Rule("relation3", (0, 0, k + 1),
-                     _freeze({(0, 0, j): -g.coeff(j) for j in range(1, k + 1) if g.coeff(j)}))
-    rules = (r4, r1, r5, r2, r6, relation3)
-    return RelationSet(n, k, relations, relation3, rules)
+    rhs3 = {(0, 0, j): -g.coeff(j) for j in range(1, k + 1) if g.coeff(j)}
+    rules = ((4, (1, 0, 1), {v1: -2}), (1, (2, 0, 0), {v1: -2}), (5, (0, 1, 1), rhs5),
+             (2, (0, 2, 0), {v2: -2}), (6, (1, 1, 0), rhs6), (3, (0, 0, k + 1), rhs3))
+    return tuple(Rule(f"relation{i}", pattern, tuple(sorted(rhs.items())))
+                 for i, pattern, rhs in rules)
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +186,12 @@ def apply_rule_once(mono: Mono, rule: Rule) -> dict:
     return fp_mul({tuple(m - p for m, p in zip(mono, rule.pattern)): 1}, dict(rule.rhs))
 
 
-def rewrite(expr: dict, rset: RelationSet) -> dict:
-    """Apply the oriented rules of ``rset`` until none fires.
+def rewrite(expr: dict, rules) -> dict:
+    """Apply the oriented ``rules``, in their priority order, until none fires.
 
     With the six rules of ``relations_for`` the result lies on the normal-form
-    basis.  A rule set that does not reach the basis, such as a subset passed
-    as ``rset.replace(rules=...)``, leaves stuck monomials in the result.
+    basis.  Rules that do not reach the basis, such as a shorter tuple of
+    them, leave stuck monomials in the result.
     It serves ``reduce`` and local confluence, not the K table or other certifiers.
 
     Each step pops the largest monomial of the working set off a heap and
@@ -216,7 +208,7 @@ def rewrite(expr: dict, rset: RelationSet) -> dict:
     while heap:
         mono = heappop(heap)[-1]
         coeff = work.pop(mono, 0)
-        rule = next((r for r in rset.rules if r.applies_to(mono)), None)
+        rule = next((r for r in rules if r.applies_to(mono)), None)
         if rule is None or not coeff:
             fp_add_term(out, mono, coeff)
             continue
@@ -278,26 +270,26 @@ def _sparse(vector) -> tuple:
     return tuple((t, c) for t, c in enumerate(vector) if c)
 
 
-def _phi_operator(rhs: dict, k: int) -> list:
-    """Columns of multiplication by phi on the normal-form basis, from the
-    rules' right sides ``rhs`` (label -> coefficient list): column t lists
-    the pairs (s, c) with phi * b_t = sum of c * b_s."""
-    return ([((3, 1),), _sparse(rhs["relation4"]), _sparse(rhs["relation5"])]
-            + [((3 + j, 1),) for j in range(1, k)]  # phi^j -> phi^(j+1)
-            + [_sparse(rhs["relation3"])])
+def _phi_operator(normal: dict, k: int) -> list:
+    """Columns of multiplication by phi on the normal-form basis: column t
+    lists the pairs (s, c) with phi * b_t = sum of c * b_s, which ``normal``
+    gives at the monomial b_t * phi."""
+    return [normal[a, b, c + 1] for a, b, c in _basis_monos(k)]
 
 
 def _table(n: int):
     """Structure constants from chains of the multiplication-by-phi operator:
     b * phi^j is the operator applied j times to b in {1, v1, v2}, and
-    phi^i * phi^j is element i + j of the chain from 1.  v1^2, v2^2 and
-    v1*v2 are the right sides of relations 1, 2 and 6."""
-    rset = relations_for(n)
-    k = rset.k
-    rhs = {rule.label: _coefficients(
-        dict(rule.rhs), k, f"right side of {rule.label} leaves the normal-form basis at {{}}")
-        for rule in rset.rules}
-    operator = _phi_operator(rhs, k)
+    phi^i * phi^j is element i + j of the chain from 1.  ``normal`` maps each
+    basis monomial to its unit pair and each rule's pattern to the rule's
+    right side, so it gives v1^2, v1*v2 and v2^2 at m_i + m_j."""
+    k = GroupParams(n).k
+    monos = _basis_monos(k)
+    normal = {rule.pattern: _sparse(_coefficients(
+        dict(rule.rhs), k, f"right side of {rule.label} leaves the normal-form basis at {{}}"))
+        for rule in relations_for(n)}
+    normal.update((mono, ((t, 1),)) for t, mono in enumerate(monos))
+    operator = _phi_operator(normal, k)
 
     def chain(start: int, length: int) -> list:
         vector = [0] * (k + 3)
@@ -316,12 +308,10 @@ def _table(n: int):
     # the many products phi^i * phi^j that share a chain element share its entry
     chains = [[_sparse(vector) for vector in chain(start, length)]
               for start, length in ((0, 2 * k), (1, k), (2, k))]
-    squares = {(1, 1): _sparse(rhs["relation1"]), (1, 2): _sparse(rhs["relation6"]),
-               (2, 2): _sparse(rhs["relation2"])}
 
     def product(i: int, j: int):  # i <= j
         if j < 3:
-            return chains[j][0] if i == 0 else squares[i, j]
+            return normal[tuple(map(add, monos[i], monos[j]))]
         if i < 3:
             return chains[i][j - 2]
         return chains[0][i + j - 4]
@@ -340,8 +330,7 @@ def nf_basis_labels(n: int):
 
 def reduce(expr: dict, n: int) -> KElement:
     """Full normal form of a formal polynomial in v1, v2, phi."""
-    rset = relations_for(n)
-    return KElement(n, _coefficients(rewrite(expr, rset), rset.k,
+    return KElement(n, _coefficients(rewrite(expr, relations_for(n)), GroupParams(n).k,
                                      "stuck monomial {} survived reduction"))
 
 
@@ -433,9 +422,9 @@ def verify_relations_in_R(n: int) -> Report:
     """
     params = GroupParams(n)
     emb = _embedding(n)
-    rset = relations_for(n)
-    checks = [Check.vanishes(rel.label, emb.of_formal(rel.difference()))
-              for rel in rset.relations + (rset.relation3,)]
+    rules = relations_for(n)
+    checks = [Check.vanishes(label, emb.of_formal(relation(rules, label).difference()))
+              for label in PRESENTATION + ("relation3",)]
     two = 2 * one(params)
     for i in range(1, params.k, 2):
         image = (canonical_d(params, i) - two) - emb.of_phipoly(psi_series(i))
@@ -453,17 +442,18 @@ def verify_relation3_redundant(n: int) -> Report:
     to one side and a, b the v1, v2 coefficients on relation 6's right side,
     (phi + 2)*r6 - (v2 - a)*r4 + b*r5 + g_{2k}(phi) = 0 in Z[v1, v2, phi]
     (derived in the README).  A failure shows the cofactors and the residue."""
-    rset = relations_for(n)
-    rhs6 = dict(rset.relation("relation6").rhs)
+    rules = relations_for(n)
+    k = GroupParams(n).k
+    rhs6 = dict(relation(rules, "relation6").rhs)
     a, b = rhs6.get((1, 0, 0), 0), rhs6.get((0, 1, 0), 0)
     cofactors = ((6, {(0, 0, 1): 1, (0, 0, 0): 2}), (4, {(0, 1, 0): -1, (0, 0, 0): a}),
                  (5, {(0, 0, 0): b}))
-    residue = fp_sum(fp_from_phipoly(g_poly(rset.k)), *(
-        fp_mul(q, rset.relation(f"relation{j}").difference()) for j, q in cofactors))
+    residue = fp_sum(fp_from_phipoly(g_poly(k)), *(
+        fp_mul(q, relation(rules, f"relation{j}").difference()) for j, q in cofactors))
     terms = " + ".join(f"({fp_format(q)})*r{j}" for j, q in cofactors)
     return Report(f"relation 3 redundancy, n={n}", (
         Check("relation3 redundant via relations 1,2,4,5", not residue,
-              f"{terms} + g_{2 * rset.k} = {fp_format(residue)}"),))
+              f"{terms} + g_{2 * k} = {fp_format(residue)}"),))
 
 
 MINIMALITY_DEGREES = (1, 2, 3)
@@ -492,7 +482,7 @@ def _monomials(low: int, high: int) -> list:
             for a in range(d + 1) for b in range(d + 1 - a)]
 
 
-def _minimality_certificate(label: str, relation: dict, others, n: int):
+def _minimality_certificate(label: str, difference: dict, others, n: int):
     """The certificate with the least D, then the least e (D in
     MINIMALITY_DEGREES, e <= n+2); None when there is none."""
     from .intmatrix import hermite_basis_mod  # present never loads it
@@ -513,7 +503,7 @@ def _minimality_certificate(label: str, relation: dict, others, n: int):
         lows = [{m: c for m, c in r.items() if sum(m) <= degree} for r in others]
         rows = [truncate(fp_mul({mono: 1}, low))
                 for low in lows for mono in _monomials(0, degree - 1)]
-        target = truncate(relation)
+        target = truncate(difference)
         for exponent in range(1, n + 3):
             residue = target
             for j, row in enumerate(hermite_basis_mod(rows, 2 ** exponent)):
@@ -529,7 +519,8 @@ def _minimality_certificate(label: str, relation: dict, others, n: int):
 def minimality_certificates(n: int) -> dict:
     """Label -> ``MinimalityCertificate`` of each presentation relation, or
     None where the search finds none."""
-    differences = {rel.label: rel.difference() for rel in relations_for(n).relations}
+    rules = relations_for(n)
+    differences = {label: relation(rules, label).difference() for label in PRESENTATION}
     for label, fp in differences.items():
         # the lattice leaves out the constant coordinate, which is sound only
         # because no relation, and so no multiple of one, has a constant term
@@ -571,15 +562,15 @@ def verify_local_confluence(n: int) -> Report:
     """At each critical monomial, every applicable first rewrite must lead to
     the same normal form.  A failure names the first two differing normal
     forms and the rules that gave them."""
-    rset = relations_for(n)
+    rules = relations_for(n)
     checks = []
-    for mono in critical_monomials(rset.k):
-        rules = [r for r in rset.rules if r.applies_to(mono)]
-        results = [(r.label, reduce(apply_rule_once(mono, r), n)) for r in rules]
+    for mono in critical_monomials(GroupParams(n).k):
+        applicable = [r for r in rules if r.applies_to(mono)]
+        results = [(r.label, reduce(apply_rule_once(mono, r), n)) for r in applicable]
         split = next((other for other in results[1:] if other[1] != results[0][1]), None)
-        detail = (f"{len(rules)} applicable rules" if split is None else
+        detail = (f"{len(applicable)} applicable rules" if split is None else
                   f"{results[0][0]} gives {results[0][1]}, {split[0]} gives {split[1]}")
-        checks.append(Check(mono_name(mono), len(rules) >= 2 and split is None, detail))
+        checks.append(Check(mono_name(mono), len(applicable) >= 2 and split is None, detail))
     return Report(f"local confluence, n={n}", tuple(checks))
 
 
@@ -603,26 +594,27 @@ def verify_embedding(n: int) -> Report:
     together prove the character map an injective ring homomorphism into
     class functions under the pointwise product.  Called on its own, this
     check assumes them.  The K side forms no K product: each distinct entry
-    b_i * b_j of K's table is contracted once with the basis-change rows M,
-    the sum of c * M[t] over its terms (t, c).
+    b_i * b_j of K's table, the sum of c * b_t over its terms (t, c), is
+    evaluated once by the same ``Substitution``, so both sides are images
+    under one evaluation map.
     """
-    images, det = _basis_change(n)
+    _, det = _basis_change(n)
     checks = [Check("basis_change_unimodular", abs(det) == 1, f"determinant {det}")]
     monos = _basis_monos(GroupParams(n).k)
     labels = nf_basis_labels(n)
-    monomial = _embedding(n).monomial
-    embedded = {(): 0 * images[0]}  # entry -> sum of c * M[t] over its terms (t, c)
+    emb = _embedding(n)
+
+    def formal(entry) -> dict:
+        return {monos[t]: c for t, c in entry}
+
+    embedded = {}  # distinct entry -> its image
     for i, row in enumerate(_ring(n).table):
         for j, entry in enumerate(row):
             lhs = embedded.get(entry)
             if lhs is None:
-                columns = zip(*(images[t].coeffs for t, _ in entry))
-                coeffs = [c for _, c in entry]
-                lhs = embedded[entry] = images[0]._new(sum(map(mul, coeffs, column))
-                                                       for column in columns)
-            rhs = monomial(tuple(x + y for x, y in zip(monos[i], monos[j])))
+                lhs = embedded[entry] = emb.of_formal(formal(entry))
+            rhs = emb.monomial(tuple(map(add, monos[i], monos[j])))
             ok = lhs == rhs
             checks.append(Check(f"embed({labels[i]}*{labels[j]})", ok, "" if ok else
-                                _embedding_witness(fp_format({monos[t]: c for t, c in entry}),
-                                                   lhs, rhs)))
+                                _embedding_witness(fp_format(formal(entry)), lhs, rhs)))
     return Report(f"presentation certificate, n={n}", tuple(checks))

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .adams import psi_series
 from .freemodule import Element, Ring
-from .kring import Substitution, relations_for
+from .kring import PRESENTATION, Substitution, relation, relations_for
 from .report import Check, Report
 from .repring import ETA1, ETA2, ETA3, ONE, GroupParams, RepElement, basis_elements, multiply
 
@@ -122,10 +122,10 @@ def verify_relations_vanish(n: int) -> Report:
     """Images of the presentation relations and of g_{2k} must vanish, and
     psi^i(w) must equal eta^i + eta^(-i) - 2 for 1 <= i <= 2k."""
     k = GroupParams(n).k
-    rset = relations_for(n)
+    rules = relations_for(n)
     sub = _substitution(k)
-    checks = [Check.vanishes(rel.label, sub.of_formal(rel.difference()))
-              for rel in rset.relations + (rset.relation3,)]
+    checks = [Check.vanishes(label, sub.of_formal(relation(rules, label).difference()))
+              for label in PRESENTATION + ("relation3",)]
     psi = [None] + [sub.of_phipoly(psi_series(i)) for i in range(1, 2 * k + 1)]
     checks.append(Check.vanishes(f"g_{2 * k}(w) = 0", psi[k + 1] - psi[k - 1]))
     two = 2 * lens_one(k)

@@ -21,7 +21,7 @@ where those of the raw lattice reached hundreds of thousands of bits.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .intmatrix import determinant, hermite_basis_mod, smith_normal_form
 from .report import Record
@@ -87,11 +87,7 @@ def expected_phi_order(n: int, N: int) -> int:
 def torsion_order(q: TruncatedQuotient) -> int:
     """Product of the nonzero elementary divisors: the size of the torsion
     part of the quotient group, which is the index D of the lattice."""
-    out = 1
-    for d in q.snf.diagonal:
-        if d:
-            out *= d
-    return out
+    return prod(d for d in q.snf.diagonal if d)
 
 
 class TableCell(Record):

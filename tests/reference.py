@@ -249,16 +249,16 @@ def apply_rule_once(mono: tuple, rule) -> dict:
     return out
 
 
-def rewrite(expr: dict, rset) -> dict:
+def rewrite(expr: dict, rules) -> dict:
     """Rewrite the largest reducible monomial, by (number of v-factors,
-    total degree, exponents), with the first rule of ``rset.rules`` that
-    applies; re-sort the working set after every step, and stop when no
-    monomial is reducible."""
+    total degree, exponents), with the first of ``rules`` that applies;
+    re-sort the working set after every step, and stop when no monomial is
+    reducible."""
     work = {m: c for m, c in expr.items() if c}
     while True:
         pick = None
         for mono in sorted(work, key=lambda m: (m[0] + m[1], sum(m), m), reverse=True):
-            for rule in rset.rules:
+            for rule in rules:
                 if rule.applies_to(mono):
                     pick = (mono, rule)
                     break

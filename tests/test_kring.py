@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import subprocess
@@ -12,7 +13,7 @@ from qkring.adams import g_poly
 from qkring.kring import (KElement, apply_rule_once, basis_change_matrix,
                           embed_to_R, fp_from_phipoly, fp_mul,
                           minimality_certificates, mono_name, nf_basis,
-                          nf_basis_labels, reduce,
+                          nf_basis_labels, reduce, relation,
                           relations_for, rewrite, verify_embedding,
                           verify_local_confluence, verify_minimality_witness,
                           verify_relation3_redundant, verify_relations_in_R)
@@ -32,15 +33,15 @@ def ke(n, c0=0, v1=0, v2=0, phi=()):
 
 def test_relation_right_sides():
     r3 = relations_for(3)
-    assert dict(r3.relation("relation6").rhs) == {
+    assert dict(relation(r3, "relation6").rhs) == {
         (0, 0, 2): 1, PHI: 4, V1: -2, V2: -2}
     r4 = relations_for(4)
-    assert dict(r4.relation("relation6").rhs) == {
+    assert dict(relation(r4, "relation6").rhs) == {
         (0, 0, 4): 1, (0, 0, 3): 8, (0, 0, 2): 20, PHI: 16, V2: -2}
     for n in (3, 4, 5, 6):
-        assert dict(relations_for(n).relation("relation4").rhs) == {V1: -2}
+        assert dict(relation(relations_for(n), "relation4").rhs) == {V1: -2}
     # relation 5 for n=4: psi^3(phi) - phi - 2*v2
-    assert dict(r4.relation("relation5").rhs) == {
+    assert dict(relation(r4, "relation5").rhs) == {
         (0, 0, 3): 1, (0, 0, 2): 6, PHI: 8, V2: -2}
 
 
@@ -193,15 +194,20 @@ def test_relations_in_R(n):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_each_relation_is_one_rule(n):
-    rset = relations_for(n)
-    assert [r.label for r in rset.relations] == [
-        "relation1", "relation2", "relation4", "relation5", "relation6"]
-    assert all(any(r is rule for rule in rset.rules) for r in rset.relations)
-    assert rset.rules[-1] is rset.relation3
-    assert rset.relation3.pattern == (0, 0, rset.k + 1)
+    rules = relations_for(n)
+    k = GroupParams(n).k
+    assert rules is relations_for(n)
+    assert kring.PRESENTATION == (
+        "relation1", "relation2", "relation4", "relation5", "relation6")
+    assert [r.label for r in rules] == [
+        "relation4", "relation1", "relation5", "relation2", "relation6", "relation3"]
+    # the K table finds each rule by its pattern
+    assert len({r.pattern for r in rules}) == len(rules)
+    assert rules[-1] is relation(rules, "relation3")
+    assert rules[-1].pattern == (0, 0, k + 1)
     # moved to one side, the phi^(k+1) rule is g_{2k}(phi) exactly
-    assert rset.relation3.difference() == fp_from_phipoly(g_poly(rset.k))
-    assert str(rset.relation("relation4")) == "v1*phi = -2*v1"
+    assert rules[-1].difference() == fp_from_phipoly(g_poly(k))
+    assert str(relation(rules, "relation4")) == "v1*phi = -2*v1"
 
 
 def test_relations_in_R_check_count():
@@ -226,18 +232,18 @@ def test_relation3_certificate_uses_neither_rewrite_nor_reduce(monkeypatch):
         assert verify_relation3_redundant(n).all_passed, n
 
 
-def four_rules(rset):
-    """``rset`` rewriting with relations 1, 2, 4 and 5 only."""
+def four_rules(rules):
+    """Relations 1, 2, 4 and 5 of ``rules``, in their priority order."""
     labels = ("relation1", "relation2", "relation4", "relation5")
-    return rset.replace(rules=tuple(r for r in rset.rules if r.label in labels))
+    return tuple(r for r in rules if r.label in labels)
 
 
 def test_redundancy_lands_on_minus_g():
     # the reduced product is exactly -g_{2k}, with no phi^(k+1) rule used
-    rset = relations_for(4)
-    diff = rset.relation("relation6").difference()
+    rules = relations_for(4)
+    diff = relation(rules, "relation6").difference()
     prod = fp_mul({PHI: 1, (0, 0, 0): 2}, diff)
-    red = rewrite(prod, four_rules(rset))
+    red = rewrite(prod, four_rules(rules))
     assert red == {m: -c for m, c in fp_from_phipoly(g_poly(4)).items()}
 
 
@@ -269,44 +275,55 @@ def test_local_confluence(n):
     assert len(report.checks) == 7
 
 
+@pytest.mark.parametrize("n", range(3, 12))
+def test_critical_monomials_are_the_overlaps_of_the_rules(n):
+    # two first rewrites can differ only where two patterns overlap, at
+    # their lcm; patterns with no variable in common give no critical pair
+    patterns = [rule.pattern for rule in relations_for(n)]
+    overlaps = {tuple(map(max, p, q)) for p, q in itertools.combinations(patterns, 2)
+                if any(x and y for x, y in zip(p, q))}
+    critical = kring.critical_monomials(GroupParams(n).k)
+    assert len(set(critical)) == len(critical)
+    assert set(critical) == overlaps
+
+
 def _rewrite_inputs(n: int):
     """The first rewrite of each critical monomial by each applicable rule,
     then 50 seeded random formal polynomials of up to 6 terms with v1 and
     v2 exponents <= 3 and phi exponents <= k + 2."""
-    rset = relations_for(n)
-    for mono in kring.critical_monomials(rset.k):
-        for rule in rset.rules:
+    k = GroupParams(n).k
+    for mono in kring.critical_monomials(k):
+        for rule in relations_for(n):
             if rule.applies_to(mono):
                 yield apply_rule_once(mono, rule)
     rng = random.Random(n)
     for _ in range(50):
-        yield {(rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, rset.k + 2)):
+        yield {(rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, k + 2)):
                rng.randint(-9, 9) for _ in range(rng.randint(1, 6))}
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_rewrite_matches_the_resorting_reference(n):
     # the heap pops the monomial that re-sorting the working set picks
-    rset = relations_for(n)
+    rules = relations_for(n)
     for expr in _rewrite_inputs(n):
-        for rs in (rset, four_rules(rset)):
-            assert rewrite(expr, rs) == reference.rewrite(expr, rs), (expr, len(rs.rules))
+        for rs in (rules, four_rules(rules)):
+            assert rewrite(expr, rs) == reference.rewrite(expr, rs), (expr, len(rs))
 
 
 def test_rewrite_matches_the_reference_when_a_rule_raises_the_measure():
     # phi -> v1 raises the number of v-factors but still terminates: each
     # product pops next, and the stuck v1^2 comes back to the result
-    rset = relations_for(3).replace(rules=(kring.Rule("raise", PHI, ((V1, 1),)),))
+    rules = (kring.Rule("raise", PHI, ((V1, 1),)),)
     expr = {(2, 0, 0): 1, (1, 0, 1): 1, (0, 0, 2): 3, (0, 1, 1): -1, (0, 2, 0): 1}
-    assert rewrite(expr, rset) == reference.rewrite(expr, rset) == {
+    assert rewrite(expr, rules) == reference.rewrite(expr, rules) == {
         (2, 0, 0): 5, (1, 1, 0): -1, (0, 2, 0): 1}
     for expr in _rewrite_inputs(3):
-        assert rewrite(expr, rset) == reference.rewrite(expr, rset), expr
+        assert rewrite(expr, rules) == reference.rewrite(expr, rules), expr
 
 
 def test_apply_rule_once():
-    rset = relations_for(3)
-    rule1 = next(r for r in rset.rules if r.label == "relation1")
+    rule1 = relation(relations_for(3), "relation1")
     assert apply_rule_once((2, 1, 0), rule1) == {(1, 1, 0): -2}
     with pytest.raises(ValueError):
         apply_rule_once((0, 1, 0), rule1)
@@ -315,11 +332,10 @@ def test_apply_rule_once():
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_apply_rule_once_matches_the_termwise_reference(n):
     # every rule at every monomial of total degree <= k + 3 it applies to
-    rset = relations_for(n)
-    bound = rset.k + 3
+    bound = GroupParams(n).k + 3
     monos = [(a, b, c) for a in range(bound + 1) for b in range(bound + 1 - a)
              for c in range(bound + 1 - a - b)]
-    for rule in rset.rules:
+    for rule in relations_for(n):
         for mono in filter(rule.applies_to, monos):
             assert apply_rule_once(mono, rule) == reference.apply_rule_once(mono, rule), \
                 (mono, rule.label)

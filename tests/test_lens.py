@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from qkring import kring, lens
 from qkring.adams import psi_series
-from qkring.kring import embed_to_R, fp_mul, nf_basis, relations_for
+from qkring.kring import embed_to_R, fp_mul, nf_basis, relation, relations_for
 from qkring.lens import (LensElement, eta_power, lens_multiply, lens_one,
                          lens_zero, restrict, verify_relations_vanish,
                          verify_restriction_hom, w_element)
@@ -122,7 +122,7 @@ def test_psi_image_identity_all_degrees():
 def test_relation6_sides_agree_in_lens():
     for n in (3, 4, 5, 6):
         k = GroupParams(n).k
-        rel = relations_for(n).relation("relation6")
+        rel = relation(relations_for(n), "relation6")
         from qkring.lens import _substitution
         sub = _substitution(k)
         assert sub.of_formal({rel.pattern: 1}) == sub.of_formal(dict(rel.rhs))
@@ -141,8 +141,7 @@ def _formal_polys(k):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_lens_substitution_is_restricted_embedding_on_relations(n):
     k = GroupParams(n).k
-    rset = relations_for(n)
-    for rel in rset.relations + (rset.relation3,):
+    for rel in relations_for(n):
         f = rel.difference()
         assert lens._substitution(k).of_formal(f) == restrict(kring._embedding(n).of_formal(f))
 

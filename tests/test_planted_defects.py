@@ -1,8 +1,8 @@
-"""The structure-constant tables and the relation set are checked, not trusted.
+"""The structure-constant tables and the rules are checked, not trusted.
 
 A defect is planted in a test-only copy: one coefficient, off by one, of a
-ring's table or of the multiplication-by-phi operator, or a changed relation
-set.  The certifier concerned must catch it and name its witness.
+ring's table or of the multiplication-by-phi operator, or a changed rule.
+The certifier concerned must catch it and name its witness.
 """
 
 import functools
@@ -45,14 +45,15 @@ def plant(monkeypatch, fresh_caches):
     return _plant
 
 
-def patch_relations(monkeypatch, n, **changes):
-    """Make ``kring.relations_for(n)`` return a copy of its relation set with
-    ``changes`` applied, each a function of the true set."""
+def patch_relations(monkeypatch, n, label, rhs):
+    """Make ``relations_for(n)``, as kring and lens read it, return the true
+    rules with the right side of rule ``label`` replaced by ``rhs``."""
     true_relations = kring.relations_for
-    rset = true_relations(n)
-    planted = rset.replace(**{name: change(rset) for name, change in changes.items()})
-    monkeypatch.setattr(kring, "relations_for",
-                        lambda m: planted if m == n else true_relations(m))
+    planted = tuple(rule.replace(rhs=rhs) if rule.label == label else rule
+                    for rule in true_relations(n))
+    for module in (kring, lens):
+        monkeypatch.setattr(module, "relations_for",
+                            lambda m: planted if m == n else true_relations(m))
 
 
 @pytest.mark.parametrize("i,j", [(0, 0), (4, 2), (4, 4)])
@@ -221,16 +222,14 @@ def test_phi_operator_defect_fails_embedding(monkeypatch, fresh_caches, column, 
 
 
 def test_k_table_rejects_a_right_side_outside_the_basis(monkeypatch):
-    patch_relations(monkeypatch, 3, rules=lambda r: tuple(
-        rule.replace(rhs=(((1, 1, 0), 1),)) if rule.label == "relation5"
-        else rule for rule in r.rules))
+    patch_relations(monkeypatch, 3, "relation5", (((1, 1, 0), 1),))
     with pytest.raises(ArithmeticError,
                        match=r"right side of relation5 leaves the normal-form basis at v1\*v2"):
         kring._table(3)
 
 
 def test_appended_relation3_fails_minimality(monkeypatch, capsys):
-    patch_relations(monkeypatch, 4, relations=lambda r: r.relations + (r.relation3,))
+    monkeypatch.setattr(kring, "PRESENTATION", kring.PRESENTATION + ("relation3",))
     detail = "no certificate with D <= 3, e <= 6 for relation3"
     report = kring.verify_minimality_witness(4)
     assert report.checks[0].witness == detail
@@ -245,8 +244,7 @@ def assert_changed_relation_fails_redundancy(monkeypatch, capsys, n, label, rhs,
     """Relation ``label`` planted with right side ``rhs`` at n: the identity
     leaves a residue, and the library and ``verify`` show ``detail``."""
     true_identity = kring.verify_relation3_redundant(n).checks[0].detail
-    patch_relations(monkeypatch, n, rules=lambda r: tuple(
-        rule.replace(rhs=rhs) if rule.label == label else rule for rule in r.rules))
+    patch_relations(monkeypatch, n, label, rhs)
     report = kring.verify_relation3_redundant(n)
     assert report.checks[0].detail == detail != true_identity
     assert not report.all_passed
@@ -273,9 +271,7 @@ def test_changed_relation5_fails_redundancy(monkeypatch, capsys):
 
 def test_confluence_defect_names_the_differing_normal_forms(monkeypatch, capsys):
     # relation 1 planted as v1^2 = -3*v1: v1^2*v2 then reduces two ways
-    patch_relations(monkeypatch, 3, rules=lambda r: tuple(
-        rule.replace(rhs=(((1, 0, 0), -3),)) if rule.label == "relation1"
-        else rule for rule in r.rules))
+    patch_relations(monkeypatch, 3, "relation1", (((1, 0, 0), -3),))
     detail = ("relation1 gives -3*phi^2 - 12*phi + 6*v1 + 6*v2, "
               "relation6 gives -2*phi^2 - 8*phi + 6*v1 + 4*v2")
     failures = kring.verify_local_confluence(3).failures()
@@ -284,6 +280,22 @@ def test_confluence_defect_names_the_differing_normal_forms(monkeypatch, capsys)
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert [c for c in checks if not c["passed"]] == [
         {"name": "v1^2*v2", "passed": False, "detail": detail}]
+
+
+def test_one_planted_rule_reaches_every_reader(monkeypatch, fresh_caches):
+    # relation 5 planted with -v2 for -2*v2: the vanishing certifiers, the
+    # redundancy identity, the rewriter and the K table all read that rule
+    clear_caches()
+    rhs5 = dict(kring.relation(kring.relations_for(4), "relation5").rhs)
+    patch_relations(monkeypatch, 4, "relation5", tuple(sorted({**rhs5, (0, 1, 0): -1}.items())))
+    failures = {certify.__name__: certify(4).failures() for certify in (
+        kring.verify_relations_in_R, kring.verify_relation3_redundant,
+        kring.verify_local_confluence, kring.verify_embedding, lens.verify_relations_vanish)}
+    assert {name: len(checks) for name, checks in failures.items()} == {
+        "verify_relations_in_R": 1, "verify_relation3_redundant": 1,
+        "verify_local_confluence": 4, "verify_embedding": 8, "verify_relations_vanish": 1}
+    for name in ("verify_relations_in_R", "verify_relations_vanish"):
+        assert [c.name for c in failures[name]] == ["relation5"]
 
 
 @pytest.mark.parametrize("i,j,residues", [

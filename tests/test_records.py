@@ -12,7 +12,7 @@ from qkring.cohomology import CohGroup
 from qkring.freemodule import Element, Ring
 from qkring.intmath import CyclotomicInt, IntPoly
 from qkring.intmatrix import SmithForm, smith_normal_form
-from qkring.kring import MinimalityCertificate, RelationSet, relations_for
+from qkring.kring import MinimalityCertificate, relation, relations_for
 from qkring.report import Check, Record, Report
 from qkring.repring import GroupParams, RepElement
 from qkring.truncation import TableCell, consistency_report, truncated_quotient
@@ -21,7 +21,6 @@ from reference import ClassFunction
 
 def records():
     """One instance of each frozen record class, built by its usual route."""
-    rset = relations_for(3)
     return [
         intmath._ring(2),
         Element(intmath._ring(2), (1, 2)),
@@ -32,8 +31,7 @@ def records():
         Report("t", (Check("a", False, "x"),)),
         GroupParams(3),
         ClassFunction(GroupParams(3), (CyclotomicInt.from_int(2, 1),)),
-        rset.rules[0],
-        rset,
+        relations_for(3)[0],
         MinimalityCertificate("relation1", 1, 2, {(1, 0, 0): 1}),
         truncated_quotient(3, 0),
         TableCell(3, 0, 8, 8),
@@ -125,7 +123,7 @@ def test_different_classes_with_equal_fields_are_unequal():
     assert CyclotomicInt(2, (1, 0)) != Element(ring, (1, 0))
     assert IntPoly((0, 4, 1)) != PhiPoly.of(4, 1)
     assert PhiPoly.of(4, 1) != IntPoly((0, 4, 1))
-    rule = relations_for(3).rules[0]
+    rule = relations_for(3)[0]
     assert OtherRule(rule.label, rule.pattern, rule.rhs) != rule
     assert Check("a", True) != ("a", True, "")
 
@@ -170,15 +168,13 @@ def test_repr_text():
     assert (repr(ClassFunction(params, (CyclotomicInt.from_int(2, 1),)))
             == "ClassFunction(params=GroupParams(n=3), values=(CyclotomicInt("
                "ring=Ring(name='Z[zeta_4]'), coeffs=(1, 0)),))")
-    rset = relations_for(3)
-    relation = "Rule(label='relation1', pattern=(2, 0, 0), rhs=(((1, 0, 0), -2),))"
-    assert repr(rset.relations[0]) == relation
-    assert (repr(rset.relation3)
+    rules = relations_for(3)
+    assert (repr(relation(rules, "relation1"))
+            == "Rule(label='relation1', pattern=(2, 0, 0), rhs=(((1, 0, 0), -2),))")
+    assert (repr(relation(rules, "relation3"))
             == "Rule(label='relation3', pattern=(0, 0, 3), rhs=(((0, 0, 1), -8), ((0, 0, 2), -6)))")
-    assert (repr(rset.rules[0])
+    assert (repr(rules[0])
             == "Rule(label='relation4', pattern=(1, 0, 1), rhs=(((1, 0, 0), -2),))")
-    assert (repr(RelationSet(3, 2, (), rset.relations[0], ()))
-            == f"RelationSet(n=3, k=2, relations=(), relation3={relation}, rules=())")
     assert (repr(MinimalityCertificate("relation1", 1, 2, {(1, 0, 0): 1}))
             == "MinimalityCertificate(label='relation1', degree=1, exponent=2, "
                "residue={(1, 0, 0): 1})")

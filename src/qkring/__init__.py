@@ -22,9 +22,9 @@ _MODULES = {
               "embed_to_R", "minimality_certificates", "reduce", "relations_for",
               "verify_embedding", "verify_local_confluence", "verify_minimality_witness",
               "verify_relation3_redundant", "verify_relations_in_R"),
-    "lens": ("LensElement", "eta_power", "lens_multiply", "restrict",
+    "lens": ("LensElement", "eta_power", "restrict",
              "verify_relations_vanish", "verify_restriction_hom", "w_element"),
-    "repring": ("GroupParams", "RepElement", "canonical_d", "multiply", "phi_element",
+    "repring": ("GroupParams", "RepElement", "canonical_d", "phi_element",
                 "verify_structure_constants"),
     "truncation": ("TruncatedQuotient", "consistency_report", "corollary2_table", "order_of",
                    "phi_order", "torsion_order", "truncated_quotient"),

@@ -135,11 +135,3 @@ class CyclotomicInt(Element):
         """Complex conjugation zeta -> zeta^-1 = -zeta^(k-1)."""
         c = self.coeffs
         return self._new((c[0],) + tuple(-c[self.k - j] for j in range(1, self.k)))
-
-    def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
-
-    def as_int(self) -> int:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not a rational integer")
-        return self.coeffs[0]

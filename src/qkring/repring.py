@@ -164,11 +164,6 @@ def _ring(n: int) -> Ring:
     return Ring(f"R(Q_{params.group_order})", params, basis_labels(params), table)
 
 
-def multiply(a: RepElement, b: RepElement) -> RepElement:
-    """The product a * b, which contracts the table of ``_basis_product``."""
-    return a * b
-
-
 # ---------------------------------------------------------------------------
 # character-table oracle
 #
@@ -218,18 +213,6 @@ def _character_table(n: int):
     while len(conj) < len(values):
         conj.append(intern(values[len(conj)].conj()))
     return tuple(values), ids, tuple(conj)
-
-
-def _inner_product_value(total: CyclotomicInt, params: GroupParams) -> int:
-    """total / |G|, where total is sum over classes of |class| * f * conj(g);
-    the quotient must be an integer."""
-    value = total.as_int()
-    q, r = divmod(value, params.group_order)
-    if r:
-        raise ValueError(
-            f"inner product {value}/{params.group_order} is not an integer; "
-            "the class function is not a virtual character")
-    return q
 
 
 def _product_terms(values, left, right):
@@ -315,17 +298,19 @@ def _code_width(params: GroupParams, values, products) -> int:
 def verify_orthogonality(params: GroupParams) -> Report:
     """<chi_i, chi_j> = delta_ij over the full character table.
 
-    A pair whose inner product is not an integer fails with that value.
-
     Each entry sums |g| * chi_i(g) * conj(chi_j(g)) into one k-long integer
     vector, over the terms of the products that ``_product_terms`` forms,
-    with chi_i(g) on the left of each, and then takes the quotient by |G|
-    with ``_inner_product_value``.
+    with chi_i(g) on the left of each.  The vector must be a rational
+    integer, a multiple of |G|: a pair whose sum has a nonzero zeta^e term
+    (e >= 1) fails with that Z[zeta] value, and one whose integer is not a
+    multiple of |G| fails with the fraction.  Only then is the quotient
+    compared with delta_ij.
     """
     values, ids, conj = _character_table(params.n)
     partners = [[conj[y] for y in chi] for chi in ids]
     terms = _product_terms(values, ids, partners)
     sizes = class_sizes(params)
+    order = params.group_order
     labels = basis_labels(params)
     checks = []
     for i, f in enumerate(ids):
@@ -334,10 +319,13 @@ def verify_orthogonality(params: GroupParams) -> Report:
             for size, x, y in zip(sizes, f, g):
                 for e, c in terms[x][y]:
                     total[e] += size * c
-            try:
-                value = _inner_product_value(CyclotomicInt(params.k, total), params)
-                ok, detail = value == (1 if i == j else 0), f"value {value}"
-            except ValueError as exc:
-                ok, detail = False, str(exc)
+            q, r = divmod(total[0], order)
+            if any(total[1:]):
+                ok, detail = False, f"{CyclotomicInt(params.k, total)} is not a rational integer"
+            elif r:
+                ok, detail = False, (f"inner product {total[0]}/{order} is not an integer; "
+                                     "the class function is not a virtual character")
+            else:
+                ok, detail = q == (1 if i == j else 0), f"value {q}"
             checks.append(Check(f"<{labels[i]},{labels[j]}>", ok, detail))
     return Report(f"character orthogonality, n={params.n}", tuple(checks))

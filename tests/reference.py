@@ -32,7 +32,7 @@ from functools import lru_cache
 from itertools import islice
 from math import comb
 
-from qkring import kring, repring
+from qkring import kring
 from qkring.adams import PhiPoly, psi_oracles
 from qkring.intmath import CyclotomicInt, IntPoly
 from qkring.intmatrix import determinant
@@ -148,7 +148,14 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> int:
     total = _zero(params.k)
     for size, fv, gv in zip(class_sizes(params), f.values, g.values):
         total = total + size * (fv * gv.conj())
-    return repring._inner_product_value(total, params)
+    if any(total.coeffs[1:]):
+        raise ValueError(f"{total} is not a rational integer")
+    q, r = divmod(total.coeffs[0], params.group_order)
+    if r:
+        raise ValueError(
+            f"inner product {total.coeffs[0]}/{params.group_order} is not an integer; "
+            "the class function is not a virtual character")
+    return q
 
 
 def decompose(f: ClassFunction) -> RepElement:

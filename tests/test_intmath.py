@@ -93,12 +93,6 @@ def test_cyclo_conjugation(k, data):
     assert na.conj() == na
 
 
-def test_cyclo_as_int():
-    assert CyclotomicInt.from_int(4, 7).as_int() == 7
-    with pytest.raises(ValueError):
-        CyclotomicInt.root_power(4, 1).as_int()
-
-
 def test_format_terms():
     assert format_terms([(1, "x"), (-2, "y"), (3, "")]) == "x - 2*y + 3"
     assert format_terms([(0, "x")]) == "0"

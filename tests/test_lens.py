@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from qkring import kring, lens
 from qkring.adams import psi_series
 from qkring.kring import embed_to_R, fp_mul, nf_basis, relation, relations_for
-from qkring.lens import (LensElement, eta_power, lens_multiply, lens_one,
+from qkring.lens import (LensElement, eta_power, lens_one,
                          lens_zero, restrict, verify_relations_vanish,
                          verify_restriction_hom, w_element)
 from qkring.repring import (GroupParams, RepElement, basis_elements,
-                            canonical_d, eta1, multiply, phi_element)
+                            canonical_d, eta1, phi_element)
 import reference
 from reference import horner
 
@@ -32,12 +32,12 @@ def test_w_square_convolution():
 
 def test_multiplicative_unit():
     a = LensElement(4, (1, -2, 0, 3, 0, 0, 1, 0))
-    assert lens_multiply(a, lens_one(4)) == a
+    assert a * lens_one(4) == a
 
 
 def test_mismatched_k_rejected():
     with pytest.raises(ValueError):
-        lens_multiply(lens_one(2), lens_one(4))
+        lens_one(2) * lens_one(4)
 
 
 def _lens_elements(k):
@@ -92,7 +92,7 @@ def test_restriction_hom_random(n, data):
     coeffs = st.lists(st.integers(-9, 9), min_size=size, max_size=size)
     a = RepElement(params, tuple(data.draw(coeffs)))
     b = RepElement(params, tuple(data.draw(coeffs)))
-    assert restrict(multiply(a, b)) == restrict(a) * restrict(b)
+    assert restrict(a * b) == restrict(a) * restrict(b)
 
 
 def test_restriction_hom_on_basis_grid():
@@ -100,7 +100,24 @@ def test_restriction_hom_on_basis_grid():
     basis = basis_elements(params)
     for a in basis:
         for b in basis:
-            assert restrict(multiply(a, b)) == restrict(a) * restrict(b)
+            assert restrict(a * b) == restrict(a) * restrict(b)
+
+
+@pytest.mark.parametrize("n,calls", [(3, 105), (4, 131)])
+def test_restriction_hom_restricts_each_element_once(monkeypatch, n, calls):
+    # (k+3) basis images, one image of each of the (k+3)^2 basis products,
+    # and three restrictions per random trial (a, b and a*b), 25 trials
+    count = 0
+
+    def counted(r):
+        nonlocal count
+        count += 1
+        return restrict(r)
+
+    monkeypatch.setattr(lens, "restrict", counted)
+    assert verify_restriction_hom(n, seed=7).all_passed
+    size = GroupParams(n).basis_size
+    assert count == calls == size + size ** 2 + 75
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

@@ -298,6 +298,49 @@ def test_one_planted_rule_reaches_every_reader(monkeypatch, fresh_caches):
         assert [c.name for c in failures[name]] == ["relation5"]
 
 
+RULE_CERTIFIERS = (kring.verify_relations_in_R, kring.verify_embedding,
+                   kring.verify_local_confluence, lens.verify_relations_vanish,
+                   kring.verify_relation3_redundant, kring.verify_minimality_witness)
+
+
+@pytest.mark.parametrize("n,count,caught", [
+    (3, 30, {"verify_relations_in_R": 30, "verify_embedding": 30,
+             "verify_local_confluence": 28, "verify_relations_vanish": 24,
+             "verify_relation3_redundant": 13, "verify_minimality_witness": 8}),
+    (4, 42, {"verify_relations_in_R": 42, "verify_embedding": 42,
+             "verify_local_confluence": 41, "verify_relations_vanish": 36,
+             "verify_relation3_redundant": 20, "verify_minimality_witness": 7})])
+def test_every_rule_right_side_defect_is_caught(monkeypatch, fresh_caches, n, count, caught):
+    # 1 added to the coefficient of one normal-form basis monomial on one
+    # rule's right side.  The minimality certificate refuses a presentation
+    # relation with a constant term (one mutant each of relations 1, 2, 4, 5
+    # and 6) rather than report on it; those raises are not counted as failures.
+    mutants = []
+    for rule in kring.relations_for(n):
+        for mono in kring._basis_monos(GroupParams(n).k):
+            rhs = dict(rule.rhs)
+            rhs[mono] = rhs.get(mono, 0) + 1
+            mutants.append((rule.label, tuple(sorted((m, c) for m, c in rhs.items() if c))))
+    assert len(mutants) == count
+    failing = dict.fromkeys(caught, 0)
+    raises = 0
+    for label, rhs in mutants:
+        kring._ring.cache_clear()
+        with monkeypatch.context() as patch:  # each mutant starts from the true rules
+            patch_relations(patch, n, label, rhs)
+            for certify in RULE_CERTIFIERS:
+                if (certify is kring.verify_minimality_witness
+                        and label in kring.PRESENTATION and (0, 0, 0) in dict(rhs)):
+                    with pytest.raises(ArithmeticError,
+                                       match=f"^{label} has a nonzero constant term$"):
+                        certify(n)
+                    raises += 1
+                else:
+                    failing[certify.__name__] += not certify(n).all_passed
+    assert failing == caught
+    assert raises == len(kring.PRESENTATION)
+
+
 @pytest.mark.parametrize("i,j,residues", [
     (1, 1, {"relation1": "1"}),
     (4, 4, {"relation6": "-1", "relation3": "d_1"})])
@@ -326,6 +369,20 @@ def test_lens_table_defect_names_the_restriction_pair(plant, capsys):
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert checks[0] == {"name": "restrict is a ring homomorphism", "passed": False,
                          "detail": detail}
+
+
+@pytest.mark.parametrize("n,count,vanish", [(3, 64, 56), (4, 512, 208)])
+def test_every_one_sided_lens_table_defect_fails_restriction(
+        monkeypatch, fresh_caches, n, count, vanish):
+    ring = lens._ring(GroupParams(n).k)
+    mutants = list(one_sided_mutants(ring.table))
+    assert len(mutants) == count
+    caught = 0
+    for _, table in mutants:
+        monkeypatch.setitem(vars(ring), "table", table)
+        assert not lens.verify_restriction_hom(n).all_passed
+        caught += not lens.verify_relations_vanish(n).all_passed
+    assert caught == vanish
 
 
 def test_restriction_random_trial_is_named(monkeypatch):

@@ -13,8 +13,7 @@ import importlib
 __version__ = "0.1.0"
 
 _MODULES = {
-    "adams": ("PhiPoly", "g_poly", "psi_oracles", "psi_series",
-              "verify_oracles"),
+    "adams": ("g_poly", "psi_oracles", "psi_series", "verify_oracles"),
     "cohomology": ("CohGroup", "h_group", "predicted_reduced_order"),
     "intmath": ("CyclotomicInt", "IntPoly"),
     "intmatrix": ("SmithForm", "determinant", "hermite_basis_mod", "smith_normal_form"),

@@ -20,42 +20,33 @@ neither is built from the other and each checks the other.
 The relation polynomial g_{2k} = psi^(k+1) - psi^(k-1) likewise has its own
 closed series.  ``verify_oracles`` checks both identities and returns a
 ``Report`` whose failing checks name their witnesses.
+
+Each polynomial is returned as a formal polynomial in phi, the dictionary
+{(0, 0, j): c} over its nonzero coefficients c of phi^j, which kring and
+lens evaluate as it is and ``freemodule`` sums and formats; ``to_pairs``
+gives its JSON form.  Only the oracle's recurrence runs on dense
+``IntPoly``s.
 """
 
 from __future__ import annotations
 
 from math import comb, gcd
 
+from .freemodule import fp_format, fp_sum
 from .intmath import IntPoly
 from .report import Check, Report
 
 
-class PhiPoly(IntPoly):
-    """Integer polynomial in phi with zero constant term; coeffs[j] goes with
-    phi^j, so coeffs[0] is always 0 (or coeffs is empty).
+def _in_phi(coeffs) -> dict:
+    """The formal polynomial sum of c * phi^j over coeffs = (c_1, c_2, ...),
+    holding only the nonzero c."""
+    return {(0, 0, j): c for j, c in enumerate(coeffs, 1) if c}
 
-    All arithmetic, ``coeff`` and ``compose`` are IntPoly's;
-    they return PhiPoly, and this class only checks the constant.
-    """
 
-    __slots__ = ()
-
-    def __init__(self, coeffs=()):
-        super().__init__(coeffs)
-        if self.coeff(0):
-            raise ArithmeticError(f"nonzero constant term {self.coeff(0)}")
-
-    @classmethod
-    def of(cls, *coeffs: int) -> "PhiPoly":
-        """Coefficients of phi, phi^2, ...: PhiPoly.of(4, 1) is 4*phi + phi^2."""
-        return cls((0,) + coeffs)
-
-    def to_pairs(self):
-        """[[exponent, coefficient-as-decimal-string], ...], ascending."""
-        return [[j, str(c)] for j, c in enumerate(self.coeffs) if c]
-
-    def format(self, var: str = "phi") -> str:
-        return super().format(var)
+def to_pairs(poly: dict):
+    """[[exponent, coefficient-as-decimal-string], ...] of a polynomial in
+    phi, ascending."""
+    return [[mono[2], str(c)] for mono, c in sorted(poly.items())]
 
 
 def _integral(num: int, den: int, what: str) -> int:
@@ -68,7 +59,7 @@ def _integral(num: int, den: int, what: str) -> int:
     return q
 
 
-def psi_series(i: int) -> PhiPoly:
+def psi_series(i: int) -> dict:
     """psi^i from the series, walked by its term ratio.
 
     c_0 = 2 and c_j = c_{j-1} * (i-j+1)(i+j-1) / (2j(2j-1)).  Each step's
@@ -82,25 +73,28 @@ def psi_series(i: int) -> PhiPoly:
         c = _integral(c * (i - j + 1) * (i + j - 1), 2 * j * (2 * j - 1),
                       f"psi^{i}: coefficient of w^{j}")
         coeffs.append(c)
-    return PhiPoly.of(*coeffs)
+    return _in_phi(coeffs)
 
 
 def psi_oracles():
     """psi^1, psi^2, ... built independently of ``psi_series``, as s_i - 2.
 
-    Each step of s_{i+1} = (w + 2)*s_i - s_{i-1} is a shift and a linear
-    combination, so the first i terms cost O(i^2) coefficient operations in
-    all, with no polynomial composition.  The generator is unbounded.
+    The s_i are dense ``IntPoly``s.  Each step of s_{i+1} = (w + 2)*s_i -
+    s_{i-1} is a shift and a linear combination, so the first i terms cost
+    O(i^2) coefficient operations in all, with no polynomial composition.
+    An s_i whose constant term is not 2 raises ArithmeticError with the
+    constant term of s_i - 2.  The generator is unbounded.
     """
-    two, w_plus_2 = IntPoly.of(2), IntPoly.of(2, 1)
-    prev, cur = two, w_plus_2
+    w_plus_2 = IntPoly.of(2, 1)
+    prev, cur = IntPoly.of(2), w_plus_2
     while True:
-        # PhiPoly raises ArithmeticError unless s_i has constant term 2
-        yield PhiPoly((cur - two).coeffs)
+        if cur.coeff(0) != 2:
+            raise ArithmeticError(f"nonzero constant term {cur.coeff(0) - 2}")
+        yield _in_phi(cur.coeffs[1:])
         prev, cur = cur, w_plus_2 * cur - prev
 
 
-def g_poly(k: int) -> PhiPoly:
+def g_poly(k: int) -> dict:
     """The degree-(k+1) relation polynomial
 
         g_{2k} = 4k*phi + sum_{j=2..k} [(2k^2+j-1)/((j-1)(2j-1))] * C(k+j-2, 2j-3) * phi^j
@@ -117,19 +111,20 @@ def g_poly(k: int) -> PhiPoly:
         coeffs[j - 1] = _integral((2 * k * k + j - 1) * comb(k + j - 2, 2 * j - 3),
                                   (j - 1) * (2 * j - 1), f"g_{2*k}: coefficient of phi^{j}")
     coeffs[k] = 1
-    return PhiPoly.of(*coeffs)
+    return _in_phi(coeffs)
 
 
 def verify_oracles(k: int) -> Report:
     """psi_series = psi_oracles for i <= 2k+1, and g_{2k} = psi^(k+1) -
     psi^(k-1) exactly.  A failure shows the first i where the series and
     the oracle differ, or g_{2k} - psi^(k+1) + psi^(k-1)."""
-    psi_split = next((f"psi^{i}: series {series}, oracle {oracle}" for i, oracle
-                      in zip(range(1, 2 * k + 2), psi_oracles())
+    psi_split = next((f"psi^{i}: series {fp_format(series)}, oracle {fp_format(oracle)}"
+                      for i, oracle in zip(range(1, 2 * k + 2), psi_oracles())
                       if (series := psi_series(i)) != oracle), "")
-    g_diff = g_poly(k) - psi_series(k + 1) + psi_series(k - 1)
+    g_diff = fp_sum(g_poly(k), {m: -c for m, c in psi_series(k + 1).items()},
+                    psi_series(k - 1))
     return Report(f"adams oracle, k={k}", (
         Check(f"psi_series = psi_oracles for i <= {2 * k + 1}", not psi_split, psi_split),
-        Check(f"g_{2 * k} = psi^{k + 1} - psi^{k - 1}", not g_diff.coeffs,
-              f"g_{2 * k} - psi^{k + 1} + psi^{k - 1} = {g_diff}"),
+        Check(f"g_{2 * k} = psi^{k + 1} - psi^{k - 1}", not g_diff,
+              f"g_{2 * k} - psi^{k + 1} + psi^{k - 1} = {fp_format(g_diff)}"),
     ))

@@ -16,11 +16,11 @@ alone prints, and exits 1 when ``passed`` is false.  ``verify`` merges the
 Each verb imports the modules it calls, inside its handler, and looks
 names up on those module objects when it runs: ``order``, ``table`` and
 ``consistency`` load truncation (with intmatrix and repring, and
-``consistency`` cohomology too), ``adams`` and ``g`` load adams,
-``cohomology`` loads cohomology alone, ``present`` loads kring and repring,
-and ``verify`` loads every module but cohomology and truncation.  A
-module's own imports come along.  ``tests/test_imports.py`` pins each
-verb's module set.
+``consistency`` cohomology too), ``adams`` and ``g`` load adams and
+freemodule, ``cohomology`` loads cohomology alone, ``present`` loads kring
+and repring, and ``verify`` loads every module but cohomology and
+truncation.  A module's own imports come along.  ``tests/test_imports.py``
+pins each verb's module set.
 """
 
 from __future__ import annotations
@@ -114,17 +114,19 @@ def _cmd_table(args):
 
 
 def _cmd_adams(args):
-    from . import adams
+    from . import adams, freemodule
 
     poly = adams.psi_series(args.i)
-    return {"i": args.i, "poly": poly.to_pairs()}, [f"psi^{args.i} = {poly}"], True
+    return ({"i": args.i, "poly": adams.to_pairs(poly)},
+            [f"psi^{args.i} = {freemodule.fp_format(poly)}"], True)
 
 
 def _cmd_g(args):
-    from . import adams
+    from . import adams, freemodule
 
     poly = adams.g_poly(args.k)
-    return {"k": args.k, "poly": poly.to_pairs()}, [f"g_{2 * args.k} = {poly}"], True
+    return ({"k": args.k, "poly": adams.to_pairs(poly)},
+            [f"g_{2 * args.k} = {freemodule.fp_format(poly)}"], True)
 
 
 def _cmd_cohomology(args):

@@ -5,6 +5,12 @@ cyclotomic integers Z[zeta] are each a free Z-module multiplied by a table
 of structure constants.  Their element classes subclass ``Element``, which
 does the module operations and the product; a ``Ring`` builds its table on
 the first product that needs it.
+
+Formal polynomials in the generators v1, v2 and phi of the presented ring
+are dictionaries keyed by exponent triples (a, b, c) for v1^a * v2^b * phi^c,
+holding only nonzero coefficients.  kring rewrites them, kring and lens
+evaluate them, and the Adams polynomials of adams are such dictionaries in
+phi alone; ``fp_sum``, ``fp_mul`` and ``fp_format`` serve all three.
 """
 
 from __future__ import annotations
@@ -38,6 +44,51 @@ def format_terms(terms) -> str:
         else:
             out.append(f" {sign} {body}")
     return "".join(out) if out else "0"
+
+
+Mono = tuple  # (a, b, c) exponents of v1, v2, phi
+
+
+def fp_add_term(fp: dict, mono: Mono, coeff: int):
+    new = fp.get(mono, 0) + coeff
+    if new:
+        fp[mono] = new
+    else:
+        fp.pop(mono, None)
+
+
+def fp_sum(*fps) -> dict:
+    out: dict = {}
+    for fp in fps:
+        for mono, c in fp.items():
+            fp_add_term(out, mono, c)
+    return out
+
+
+def fp_mul(f: dict, g: dict) -> dict:
+    out: dict = {}
+    for (a1, b1, c1), x in f.items():
+        for (a2, b2, c2), y in g.items():
+            fp_add_term(out, (a1 + a2, b1 + b2, c1 + c2), x * y)
+    return out
+
+
+def mono_name(mono: Mono) -> str:
+    a, b, c = mono
+    parts = []
+    if a:
+        parts.append("v1" if a == 1 else f"v1^{a}")
+    if b:
+        parts.append("v2" if b == 1 else f"v2^{b}")
+    if c:
+        parts.append("phi" if c == 1 else f"phi^{c}")
+    return "*".join(parts) if parts else "1"
+
+
+def fp_format(fp: dict) -> str:
+    # display order: phi-degree, then v1, then v2, descending
+    monos = sorted(fp, key=lambda m: (m[2], m[0], m[1]), reverse=True)
+    return format_terms((fp[m], "" if m == (0, 0, 0) else mono_name(m)) for m in monos)
 
 
 class Ring(Record):

@@ -1,15 +1,15 @@
 """Exact integer arithmetic substrate.
 
-Dense integer polynomials with composition, and cyclotomic integers for a
-power-of-two root of unity.  Everything is pure and exact; no floats
-anywhere.
+Dense integer polynomials with composition, which the Adams oracle's
+recurrence runs on, and cyclotomic integers for a power-of-two root of
+unity.  Everything is pure and exact; no floats anywhere.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .freemodule import Element, Ring, format_terms
+from .freemodule import Element, Ring
 from .report import Record
 
 
@@ -36,50 +36,31 @@ class IntPoly(Record):
     def coeff(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    # Arithmetic builds type(self), so a subclass with an invariant (adams'
-    # PhiPoly, zero constant term) keeps both its class and its check.
     def __add__(self, other: "IntPoly") -> "IntPoly":
         n = max(len(self.coeffs), len(other.coeffs))
-        return type(self)(tuple(self.coeff(i) + other.coeff(i) for i in range(n)))
+        return IntPoly(tuple(self.coeff(i) + other.coeff(i) for i in range(n)))
 
     def __sub__(self, other: "IntPoly") -> "IntPoly":
         n = max(len(self.coeffs), len(other.coeffs))
-        return type(self)(tuple(self.coeff(i) - other.coeff(i) for i in range(n)))
+        return IntPoly(tuple(self.coeff(i) - other.coeff(i) for i in range(n)))
 
-    def __neg__(self) -> "IntPoly":
-        return type(self)(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return type(self)(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, IntPoly):
-            return NotImplemented
+    def __mul__(self, other: "IntPoly") -> "IntPoly":
         if not self.coeffs or not other.coeffs:
-            return type(self)()
+            return IntPoly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return type(self)(tuple(out))
-
-    __rmul__ = __mul__
+        return IntPoly(tuple(out))
 
     def compose(self, other: "IntPoly") -> "IntPoly":
         """self(other(x)), by Horner's scheme."""
         acc = IntPoly()
         for c in reversed(self.coeffs):
             acc = acc * other + IntPoly.of(c)
-        return type(self)(acc.coeffs)
-
-    def format(self, var: str = "c") -> str:
-        terms = [(c, var if i == 1 else f"{var}^{i}" if i else "")
-                 for i, c in enumerate(self.coeffs)]
-        return format_terms(reversed(terms))
-
-    def __str__(self) -> str:
-        return self.format()
+        return acc
 
 
 @lru_cache(maxsize=None)

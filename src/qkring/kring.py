@@ -18,8 +18,10 @@ rules from; ``PRESENTATION`` names the five presentation relations, and
 ``relation`` finds a rule by its label.
 
 Formal polynomials in the generators are dictionaries keyed by exponent
-triples (a, b, c) for v1^a * v2^b * phi^c.  Oriented left-to-right, every
-rule strictly decreases (number of v-factors, total degree) in
+triples (a, b, c) for v1^a * v2^b * phi^c, with their arithmetic and text
+in ``freemodule``.  The psi- and g-polynomials of adams are such
+dictionaries, so the rules take them as they are.  Oriented left-to-right,
+every rule strictly decreases (number of v-factors, total degree) in
 lexicographic order, which is what makes ``reduce`` terminate.  (Total
 degree alone does not work: the right side of relation 5 contains
 phi^(k-1).)  Normal forms live on the basis {1, v1, v2, phi, ..., phi^k}.
@@ -59,62 +61,11 @@ from heapq import heapify, heappop, heappush
 from math import prod
 from operator import add, mul
 
-from .adams import PhiPoly, g_poly, psi_series
-from .freemodule import Element, Ring, commutative_table, format_terms
+from .adams import g_poly, psi_series
+from .freemodule import (Element, Mono, Ring, commutative_table, fp_add_term, fp_format,
+                         fp_mul, fp_sum, mono_name)
 from .report import Check, Record, Report
 from .repring import GroupParams, RepElement, canonical_d, eta1, eta2, one, phi_element
-
-Mono = tuple  # (a, b, c) exponents of v1, v2, phi
-
-
-# ---------------------------------------------------------------------------
-# formal polynomials
-# ---------------------------------------------------------------------------
-
-def fp_add_term(fp: dict, mono: Mono, coeff: int):
-    new = fp.get(mono, 0) + coeff
-    if new:
-        fp[mono] = new
-    else:
-        fp.pop(mono, None)
-
-
-def fp_sum(*fps) -> dict:
-    out: dict = {}
-    for fp in fps:
-        for mono, c in fp.items():
-            fp_add_term(out, mono, c)
-    return out
-
-
-def fp_mul(f: dict, g: dict) -> dict:
-    out: dict = {}
-    for (a1, b1, c1), x in f.items():
-        for (a2, b2, c2), y in g.items():
-            fp_add_term(out, (a1 + a2, b1 + b2, c1 + c2), x * y)
-    return out
-
-
-def fp_from_phipoly(p: PhiPoly) -> dict:
-    return {(0, 0, j): c for j, c in enumerate(p.coeffs) if c}
-
-
-def mono_name(mono: Mono) -> str:
-    a, b, c = mono
-    parts = []
-    if a:
-        parts.append("v1" if a == 1 else f"v1^{a}")
-    if b:
-        parts.append("v2" if b == 1 else f"v2^{b}")
-    if c:
-        parts.append("phi" if c == 1 else f"phi^{c}")
-    return "*".join(parts) if parts else "1"
-
-
-def fp_format(fp: dict) -> str:
-    # display order: phi-degree, then v1, then v2, descending
-    monos = sorted(fp, key=lambda m: (m[2], m[0], m[1]), reverse=True)
-    return format_terms((fp[m], "" if m == (0, 0, 0) else mono_name(m)) for m in monos)
 
 
 # ---------------------------------------------------------------------------
@@ -154,15 +105,14 @@ def relations_for(n: int) -> tuple:
     relation 3, phi^(k+1) -> phi^(k+1) - g_{2k}(phi)."""
     k = GroupParams(n).k
     v1, v2, phi = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-    rhs5 = fp_sum(fp_from_phipoly(psi_series(k - 1)), {phi: -1, v2: -2})
+    rhs5 = fp_sum(psi_series(k - 1), {phi: -1, v2: -2})
     if n == 3:
         rhs6 = {(0, 0, 2): 1, phi: 4, v1: -2, v2: -2}
     else:
-        rhs6 = fp_sum(fp_from_phipoly(psi_series(k)), {v2: -2})
+        rhs6 = fp_sum(psi_series(k), {v2: -2})
     # the reduction that keeps phi-powers <= k; g is monic of degree k+1, so
     # the rule's difference is g exactly
-    g = g_poly(k)
-    rhs3 = {(0, 0, j): -g.coeff(j) for j in range(1, k + 1) if g.coeff(j)}
+    rhs3 = {mono: -c for mono, c in g_poly(k).items() if mono != (0, 0, k + 1)}
     rules = ((4, (1, 0, 1), {v1: -2}), (1, (2, 0, 0), {v1: -2}), (5, (0, 1, 1), rhs5),
              (2, (0, 2, 0), {v2: -2}), (6, (1, 1, 0), rhs6), (3, (0, 0, k + 1), rhs3))
     return tuple(Rule(f"relation{i}", pattern, tuple(sorted(rhs.items())))
@@ -371,9 +321,6 @@ class Substitution:
         # one pass per coordinate, with no intermediate element
         return unit._new(sum(map(mul, fp.values(), column)) for column in zip(*terms))
 
-    def of_phipoly(self, p: PhiPoly):
-        return self.of_formal(fp_from_phipoly(p))
-
 
 @lru_cache(maxsize=None)
 def _embedding(n: int) -> Substitution:
@@ -427,12 +374,12 @@ def verify_relations_in_R(n: int) -> Report:
               for label in PRESENTATION + ("relation3",)]
     two = 2 * one(params)
     for i in range(1, params.k, 2):
-        image = (canonical_d(params, i) - two) - emb.of_phipoly(psi_series(i))
+        image = (canonical_d(params, i) - two) - emb.of_formal(psi_series(i))
         checks.append(Check.vanishes(f"d_{i} - 2 = psi^{i}(phi)", image))
     if n >= 4:
         d0 = canonical_d(params, 0)
         dk = canonical_d(params, params.k)
-        image = (dk - d0) - emb.of_phipoly(psi_series(params.k))
+        image = (dk - d0) - emb.of_formal(psi_series(params.k))
         checks.append(Check.vanishes(f"d_{params.k} - d_0 = psi^{params.k}(phi)", image))
     return Report(f"relations in R(Q_{params.group_order}), n={n}", tuple(checks))
 
@@ -448,7 +395,7 @@ def verify_relation3_redundant(n: int) -> Report:
     a, b = rhs6.get((1, 0, 0), 0), rhs6.get((0, 1, 0), 0)
     cofactors = ((6, {(0, 0, 1): 1, (0, 0, 0): 2}), (4, {(0, 1, 0): -1, (0, 0, 0): a}),
                  (5, {(0, 0, 0): b}))
-    residue = fp_sum(fp_from_phipoly(g_poly(k)), *(
+    residue = fp_sum(g_poly(k), *(
         fp_mul(q, relation(rules, f"relation{j}").difference()) for j, q in cofactors))
     terms = " + ".join(f"({fp_format(q)})*r{j}" for j, q in cofactors)
     return Report(f"relation 3 redundancy, n={n}", (

@@ -33,7 +33,6 @@ from __future__ import annotations
 from functools import lru_cache, partial
 
 from .freemodule import Element, Ring, commutative_table
-from .intmath import CyclotomicInt
 from .report import Check, Record, Report
 
 # basis layout: index 0..3 = 1, eta1, eta2, eta3; index 3+i = d_i
@@ -185,6 +184,8 @@ def _character_table(n: int):
     d_i on the class of x^r is zeta^(ir) + zeta^(-ir), built once for each
     exponent ir mod 2k; there are k + 3 distinct values in all.
     """
+    from .intmath import CyclotomicInt  # order, table and consistency never load it
+
     k = GroupParams(n).k
     root = partial(CyclotomicInt.root_power, k)
     values, index = [], {}
@@ -321,6 +322,8 @@ def verify_orthogonality(params: GroupParams) -> Report:
                     total[e] += size * c
             q, r = divmod(total[0], order)
             if any(total[1:]):
+                from .intmath import CyclotomicInt  # order, table and consistency never load it
+
                 ok, detail = False, f"{CyclotomicInt(params.k, total)} is not a rational integer"
             elif r:
                 ok, detail = False, (f"inner product {total[0]}/{order} is not an integer; "

@@ -9,6 +9,8 @@ textbook route to a value that the package computes another way:
 * ``chebyshev_t`` is the recurrence behind ``adams.psi_oracles``;
 * ``psi_closed_form`` is the closed binomial series that ``adams.psi_series``
   walks by its term ratio;
+* ``in_phi`` writes a formal polynomial in phi from its coefficients, and
+  ``dense`` turns one into an ``IntPoly``, for composition and ``horner``;
 * ``character_table`` is the dense table of ``ClassFunction`` rows, one
   Z[zeta] value per (character, class), that ``repring._character_table``
   stores as k + 3 distinct values and rows of indices into them;
@@ -33,7 +35,7 @@ from itertools import islice
 from math import comb
 
 from qkring import kring
-from qkring.adams import PhiPoly, psi_oracles
+from qkring.adams import psi_oracles
 from qkring.intmath import CyclotomicInt, IntPoly
 from qkring.intmatrix import determinant
 from qkring.kring import fp_add_term, mono_name
@@ -47,8 +49,8 @@ def horner(p: IntPoly, x):
     x^d, ..., x^1, then the constant term is added.
 
     With a zero constant term only +, * and integer scaling are used, so x
-    may be an element of a ring whose unit is not at hand (a ring element, a
-    PhiPoly); int and Fraction work for any polynomial.
+    may be an element of a ring whose unit is not at hand; int and Fraction
+    work for any polynomial.
     """
     acc = 0 * x
     for c in reversed(p.coeffs[1:]):
@@ -75,7 +77,7 @@ def psi_oracle(i: int):
     return next(islice(psi_oracles(), i - 1, None))
 
 
-def psi_closed_form(i: int) -> PhiPoly:
+def psi_closed_form(i: int) -> dict:
     """psi^i = sum_{j=1..i} [C(i,j) * C(i+j-1,j) / C(2j-1,j)] * w^j, each
     quotient checked to be exact."""
     coeffs = []
@@ -83,7 +85,22 @@ def psi_closed_form(i: int) -> PhiPoly:
         q, r = divmod(comb(i, j) * comb(i + j - 1, j), comb(2 * j - 1, j))
         assert not r, (i, j)
         coeffs.append(q)
-    return PhiPoly.of(*coeffs)
+    return in_phi(*coeffs)
+
+
+def in_phi(*coeffs: int) -> dict:
+    """The formal polynomial with coefficients of phi, phi^2, ...:
+    in_phi(4, 1) is 4*phi + phi^2."""
+    return {(0, 0, j): c for j, c in enumerate(coeffs, 1) if c}
+
+
+def dense(poly: dict) -> IntPoly:
+    """The ``IntPoly`` of a formal polynomial in phi, x standing for phi."""
+    coeffs = [0] * (max((c for _, _, c in poly), default=0) + 1)
+    for (a, b, c), x in poly.items():
+        assert a == b == 0, (a, b)
+        coeffs[c] = x
+    return IntPoly(coeffs)
 
 
 class ClassFunction(Record):

@@ -71,8 +71,8 @@ def test_criterion_06_two_adic_jump():
     ok = True
     for n in range(3, 9):
         g = adams.g_poly(2 ** (n - 2))
-        ok = ok and nu_2(g.coeff(1)) == n
-        ok = ok and nu_2(g.coeff(2)) == n - 2
+        ok = ok and nu_2(g[0, 0, 1]) == n
+        ok = ok and nu_2(g[0, 0, 2]) == n - 2
     _criterion(6, "nu_2(linear coeff of g) = n and nu_2(quadratic coeff) = n-2, n=3..8", ok)
 
 

@@ -2,17 +2,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkring.adams import PhiPoly, g_poly, psi_oracles, psi_series, verify_oracles
+from qkring import adams, kring
+from qkring.adams import g_poly, psi_oracles, psi_series, to_pairs, verify_oracles
+from qkring.freemodule import fp_format
 from qkring.intmath import IntPoly
-from reference import chebyshev_t, horner, psi_closed_form, psi_oracle
+from qkring.repring import GroupParams, phi_element
+from reference import chebyshev_t, dense, horner, in_phi, psi_closed_form, psi_oracle
 
 
 def test_psi_small_values():
-    assert psi_series(1) == PhiPoly.of(1)
-    assert psi_series(2) == PhiPoly.of(4, 1)
-    assert psi_series(3) == PhiPoly.of(9, 6, 1)
-    assert psi_series(4) == PhiPoly.of(16, 20, 8, 1)
-    assert psi_series(5) == PhiPoly.of(25, 50, 35, 10, 1)
+    assert psi_series(1) == in_phi(1)
+    assert psi_series(2) == in_phi(4, 1)
+    assert psi_series(3) == in_phi(9, 6, 1)
+    assert psi_series(4) == in_phi(16, 20, 8, 1)
+    assert psi_series(5) == in_phi(25, 50, 35, 10, 1)
 
 
 def test_psi_series_walk_matches_closed_form():
@@ -22,9 +25,9 @@ def test_psi_series_walk_matches_closed_form():
 
 
 def test_psi_oracle_small_values():
-    assert psi_oracle(1) == PhiPoly.of(1)
-    assert psi_oracle(2) == PhiPoly.of(4, 1)
-    assert psi_oracle(4) == PhiPoly.of(16, 20, 8, 1)
+    assert psi_oracle(1) == in_phi(1)
+    assert psi_oracle(2) == in_phi(4, 1)
+    assert psi_oracle(4) == in_phi(16, 20, 8, 1)
 
 
 def test_psi_series_matches_oracle():
@@ -35,9 +38,9 @@ def test_psi_series_matches_oracle():
 def test_psi_shape():
     for i in range(1, 101):
         p = psi_series(i)
-        assert len(p.coeffs) - 1 == i
-        assert p.coeff(1) == i * i
-        assert p.coeff(i) == 1
+        assert sorted(p) == [(0, 0, j) for j in range(1, i + 1)]
+        assert p[0, 0, 1] == i * i
+        assert p[0, 0, i] == 1
 
 
 def test_psi_rejects_bad_degree():
@@ -48,21 +51,21 @@ def test_psi_rejects_bad_degree():
 
 
 def test_g_small_values():
-    assert g_poly(2) == PhiPoly.of(8, 6, 1)
-    assert g_poly(4) == PhiPoly.of(16, 44, 34, 10, 1)
+    assert g_poly(2) == in_phi(8, 6, 1)
+    assert g_poly(4) == in_phi(16, 44, 34, 10, 1)
 
 
 def test_g_quadratic_coefficient():
     for k in (2, 4, 8, 16):
-        assert g_poly(k).coeff(2) == k * (2 * k * k + 1) // 3
+        assert g_poly(k)[0, 0, 2] == k * (2 * k * k + 1) // 3
 
 
 def test_g_shape():
     for k in (2, 3, 4, 5, 8):
         g = g_poly(k)
-        assert len(g.coeffs) - 1 == k + 1
-        assert g.coeff(k + 1) == 1
-        assert g.coeff(1) == 4 * k
+        assert sorted(g) == [(0, 0, j) for j in range(1, k + 2)]
+        assert g[0, 0, k + 1] == 1
+        assert g[0, 0, 1] == 4 * k
 
 
 def test_g_identity_powers_of_two():
@@ -91,20 +94,20 @@ def test_two_adic_jump():
     for n in range(3, 9):
         k = 2 ** (n - 2)
         g = g_poly(k)
-        assert _two_adic(g.coeff(1)) == n
-        assert _two_adic(g.coeff(2)) == n - 2
+        assert _two_adic(g[0, 0, 1]) == n
+        assert _two_adic(g[0, 0, 2]) == n - 2
 
 
 def _composes(i, j):
     """psi^i(psi^j) == psi^(ij)."""
-    return psi_series(i).compose(psi_series(j)) == psi_series(i * j)
+    return dense(psi_series(i)).compose(dense(psi_series(j))) == dense(psi_series(i * j))
 
 
 def test_compose_examples():
     assert _composes(2, 3)
     assert _composes(1, 7)
     assert _composes(3, 2)
-    lhs, rhs = psi_series(2).compose(psi_series(3)), psi_series(6)
+    lhs, rhs = dense(psi_series(2)).compose(dense(psi_series(3))), dense(psi_series(6))
     assert all(lhs.coeff(d) == rhs.coeff(d) for d in range(1, 5))
 
 
@@ -116,39 +119,48 @@ def test_compose_property(i, j):
 
 def test_evaluate_integer():
     # psi^2 at w = 3 is 9 + 12 = 21
-    assert horner(psi_series(2), 3) == 21
-    assert horner(PhiPoly(), 5) == 0
+    assert horner(dense(psi_series(2)), 3) == 21
+    assert horner(IntPoly(), 5) == 0
 
 
 def test_to_pairs():
-    assert g_poly(4).to_pairs() == [[1, "16"], [2, "44"], [3, "34"], [4, "10"], [5, "1"]]
+    assert to_pairs(g_poly(4)) == [[1, "16"], [2, "44"], [3, "34"], [4, "10"], [5, "1"]]
+    assert to_pairs({(0, 0, 2): 1, (0, 0, 1): -3}) == [[1, "-3"], [2, "1"]]
+    assert to_pairs({}) == []
 
 
 def test_format():
-    assert str(psi_series(3)) == "phi^3 + 6*phi^2 + 9*phi"
-    assert psi_series(2).format("w") == "w^2 + 4*w"
-    assert str(PhiPoly()) == "0"
+    assert fp_format(psi_series(3)) == "phi^3 + 6*phi^2 + 9*phi"
+    assert fp_format({}) == "0"
 
 
-def test_phipoly_is_an_intpoly():
-    p = PhiPoly.of(4, 1)
-    assert isinstance(p, IntPoly) and p.coeffs == (0, 4, 1)
-    assert len(PhiPoly().coeffs) - 1 == -1
-    with pytest.raises(ArithmeticError):
-        PhiPoly((1, 2))
-    for q in (p + p, p - p, -p, 3 * p, p * 2, p * p, p.compose(p)):
-        assert type(q) is PhiPoly
-    assert p * p == PhiPoly.of(0, 16, 8, 1)
-    assert p.compose(p) == PhiPoly.of(16, 20, 8, 1) == psi_series(4)
-    with pytest.raises(ArithmeticError):
-        p.compose(IntPoly.of(1, 1))  # 4*(x + 1) + (x + 1)^2 has constant term 5
+def test_psi_and_g_are_formal_polynomials_in_phi():
+    # keyed by (0, 0, j) with j >= 1, and holding only nonzero coefficients,
+    # so that an equal polynomial is an equal dict
+    for poly in [psi_series(i) for i in range(1, 40)] + [g_poly(k) for k in range(2, 20)]:
+        assert all(a == b == 0 and c >= 1 and x for (a, b, c), x in poly.items())
 
 
 def test_evaluate_without_a_unit():
-    # with no constant term, evaluation needs no 1 of the target ring
-    phi = PhiPoly.of(1)
-    assert horner(psi_series(5), phi) == psi_series(5)
-    assert horner(psi_series(3), psi_series(2)) == psi_series(6)
+    # with no constant term, evaluation needs no 1 of the target ring: Horner
+    # on R's phi alone agrees with the embedding's evaluation
+    for n in (3, 4, 5):
+        phi = phi_element(GroupParams(n))
+        for i in (1, 2, 3, 5):
+            assert horner(dense(psi_series(i)), phi) == kring._embedding(n).of_formal(
+                psi_series(i))
+
+
+def test_oracle_requires_the_constant_term_two(monkeypatch):
+    # planting w + 2 as 3 + w gives s_1 - 2 the constant term 1
+    class Planted(IntPoly):
+        @classmethod
+        def of(cls, *coeffs):
+            return IntPoly((3, 1) if coeffs == (2, 1) else coeffs)
+
+    monkeypatch.setattr(adams, "IntPoly", Planted)
+    with pytest.raises(ArithmeticError, match=r"^nonzero constant term 1$"):
+        next(psi_oracles())
 
 
 def test_psi_oracles_walk_matches_composed_chebyshev():
@@ -156,14 +168,13 @@ def test_psi_oracles_walk_matches_composed_chebyshev():
     walk = psi_oracles()
     for i in range(1, 41):
         composed = chebyshev_t(i).compose(IntPoly.of(2, 1)) - IntPoly.of(2)
-        assert next(walk) == PhiPoly(composed.coeffs) == psi_oracle(i)
+        assert composed.coeff(0) == 0
+        assert next(walk) == in_phi(*composed.coeffs[1:]) == psi_oracle(i)
 
 
 def test_non_integral_coefficients_raise_in_lowest_terms(monkeypatch):
     # with psi^2's first quotient read as 8/16, not 8/2, its coefficient of w
     # is 1/2; with every binomial read as 1, g_8 has (2*16 + 2) / (2 * 5) on phi^3
-    from qkring import adams
-
     true_integral = adams._integral
 
     def wrong_ratio(num, den, what):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qkring import kring, lens
 from qkring.adams import g_poly
 from qkring.kring import (KElement, apply_rule_once, basis_change_matrix,
-                          embed_to_R, fp_from_phipoly, fp_mul,
+                          embed_to_R, fp_mul,
                           minimality_certificates, mono_name, nf_basis,
                           nf_basis_labels, reduce, relation,
                           relations_for, rewrite, verify_embedding,
@@ -205,7 +205,7 @@ def test_each_relation_is_one_rule(n):
     assert rules[-1] is relation(rules, "relation3")
     assert rules[-1].pattern == (0, 0, k + 1)
     # moved to one side, the phi^(k+1) rule is g_{2k}(phi) exactly
-    assert rules[-1].difference() == fp_from_phipoly(g_poly(k))
+    assert rules[-1].difference() == g_poly(k)
     assert str(relation(rules, "relation4")) == "v1*phi = -2*v1"
 
 
@@ -243,7 +243,7 @@ def test_redundancy_lands_on_minus_g():
     diff = relation(rules, "relation6").difference()
     prod = fp_mul({PHI: 1, (0, 0, 0): 2}, diff)
     red = rewrite(prod, four_rules(rules))
-    assert red == {m: -c for m, c in fp_from_phipoly(g_poly(4)).items()}
+    assert red == {m: -c for m, c in g_poly(4).items()}
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -345,12 +345,12 @@ def test_linear_relation_consequence():
     for n in (3, 4, 5):
         k = GroupParams(n).k
         g = g_poly(k)
-        f = {j - 2: -g.coeff(j) for j in range(2, k + 2)}  # -(g - 4k phi)/phi^2
+        f = {j - 2: -g[0, 0, j] for j in range(2, k + 2)}  # -(g - 4k phi)/phi^2
         fp = {PHI: 4 * k}
         for e, c in f.items():
             fp[(0, 0, e + 2)] = fp.get((0, 0, e + 2), 0) - c
         assert reduce(fp, n) == ke(n)
-        assert reduce(fp_from_phipoly(g), n) == ke(n)
+        assert reduce(g, n) == ke(n)
 
 
 @pytest.mark.parametrize("n", [3, 4])

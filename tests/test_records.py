@@ -7,7 +7,6 @@ from functools import lru_cache
 import pytest
 
 from qkring import intmath
-from qkring.adams import PhiPoly
 from qkring.cohomology import CohGroup
 from qkring.freemodule import Element, Ring
 from qkring.intmath import CyclotomicInt, IntPoly
@@ -26,7 +25,6 @@ def records():
         Element(intmath._ring(2), (1, 2)),
         CyclotomicInt(2, (1, -1)),
         IntPoly((1, 2)),
-        PhiPoly.of(4, 1),
         Check("a", True),
         Report("t", (Check("a", False, "x"),)),
         GroupParams(3),
@@ -121,8 +119,6 @@ def test_different_classes_with_equal_fields_are_unequal():
     ring = intmath._ring(2)
     assert Element(ring, (1, 0)) != CyclotomicInt(2, (1, 0))
     assert CyclotomicInt(2, (1, 0)) != Element(ring, (1, 0))
-    assert IntPoly((0, 4, 1)) != PhiPoly.of(4, 1)
-    assert PhiPoly.of(4, 1) != IntPoly((0, 4, 1))
     rule = relations_for(3)[0]
     assert OtherRule(rule.label, rule.pattern, rule.rhs) != rule
     assert Check("a", True) != ("a", True, "")
@@ -135,7 +131,6 @@ def test_defaults():
         Report("t")
     assert IntPoly().coeffs == ()
     assert IntPoly() == IntPoly((0, 0))
-    assert PhiPoly().coeffs == ()
 
 
 def test_keyword_construction():
@@ -158,7 +153,6 @@ def test_repr_text():
     assert (repr(RepElement(params, (1, 0, 0, 0, 2)))
             == "RepElement(ring=Ring(name='R(Q_8)'), coeffs=(1, 0, 0, 0, 2))")
     assert repr(IntPoly((1, 2, 0))) == "IntPoly(coeffs=(1, 2))"
-    assert repr(PhiPoly.of(4, 1)) == "PhiPoly(coeffs=(0, 4, 1))"
     assert (repr(smith_normal_form([[2, 0], [0, 4]]))
             == "SmithForm(D=[[2, 0], [0, 4]], U=[[1, 0], [0, 1]], V=[[1, 0], [0, 1]])")
     assert repr(Check("a", True)) == "Check(name='a', passed=True, detail='')"
@@ -199,10 +193,6 @@ def test_constructor_checks():
         GroupParams(2)
     with pytest.raises(ValueError, match=r"^cyclic factors must be >= 0$"):
         CohGroup((2, -1))
-    with pytest.raises(ArithmeticError, match=r"^nonzero constant term 3$"):
-        PhiPoly((3, 1))
-    with pytest.raises(ArithmeticError, match=r"^nonzero constant term -1$"):
-        PhiPoly.of(1) - IntPoly.of(1)
 
 
 def test_constructors_normalise_their_sequences():

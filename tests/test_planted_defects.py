@@ -500,7 +500,7 @@ def test_structure_verdicts_hold_when_a_defect_matches_the_true_code_width(
     # with the Z[zeta] table for the verdicts to stay the dense reference's
     params = GroupParams(4)
     values, ids, _ = repring._character_table(4)
-    width = repring._code_width(params, values, repring._product_terms(values, ids, ids))
+    width = repring._code_width(params, values, repring._product_terms(values))
     ring = intmath._ring(4)
     table = [list(row) for row in ring.table]
     assert table[1][1] == ((2, 1),)
@@ -541,6 +541,44 @@ def test_every_one_sided_cyclotomic_defect_matches_the_dense_reference(
             sum(s and not g for s, g in caught), len(unread)) == counts
     if n == 4:
         assert all(2 in pair for pair in unread)
+
+
+class RecordedRow(list):
+    """A table row that records (i, j) for each entry j read from row i."""
+
+    def __init__(self, i, row, reads):
+        super().__init__(row)
+        self.i, self.reads = i, reads
+
+    def __getitem__(self, j):
+        self.reads.add((self.i, j))
+        return super().__getitem__(j)
+
+
+# The Z[zeta] entries that the two oracle certifiers read are recorded, not
+# listed by hand.  Each one-sided mutant of a read entry fails a certifier;
+# a mutant of an unread entry cannot, so the 4 * 7 = 28 mutants caught by
+# neither at k = 4 (above) are equivalent mutants, not escapes.
+@pytest.mark.parametrize("n,unread", [
+    (3, {(0, 1), (1, 0), (1, 1)}),
+    (4, {(i, j) for i, j in itertools.product(range(4), repeat=2) if 2 in (i, j)}),
+])
+def test_every_read_cyclotomic_entry_is_caught_when_planted(
+        monkeypatch, fresh_caches, n, unread):
+    params = GroupParams(n)
+    ring = intmath._ring(params.k)
+    true_table, reads = ring.table, set()
+    monkeypatch.setitem(vars(ring), "table",
+                        [RecordedRow(i, row, reads) for i, row in enumerate(true_table)])
+    assert repring.verify_orthogonality(params).all_passed
+    assert repring.verify_structure_constants(params).all_passed
+    assert set(itertools.product(range(params.k), repeat=2)) - reads == unread
+    for (i, j, _), table in one_sided_mutants(true_table):
+        clear_caches()
+        monkeypatch.setitem(vars(intmath._ring(params.k)), "table", table)
+        passed = (repring.verify_orthogonality(params).all_passed
+                  and repring.verify_structure_constants(params).all_passed)
+        assert passed == ((i, j) in unread)
 
 
 # ring, pair (i, j) with a nonzero product, constructor from coefficients

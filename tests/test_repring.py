@@ -138,6 +138,23 @@ def test_sparse_table_holds_each_value_once(n):
     assert {x for chi in ids for x in chi} == set(range(k + 3))
 
 
+@pytest.mark.parametrize("certifier", [verify_structure_constants, verify_orthogonality])
+@pytest.mark.parametrize("n,products", [(3, 25), (4, 49), (5, 121)])
+def test_oracle_certifier_forms_each_value_product_once(monkeypatch, certifier, n, products):
+    values, _, _ = _character_table(n)
+    assert len(values) ** 2 == products
+    calls = []
+    true_mul = CyclotomicInt.__mul__
+
+    def counted(self, other):
+        calls.append((self, other))
+        return true_mul(self, other)
+
+    monkeypatch.setattr(CyclotomicInt, "__mul__", counted)
+    assert certifier(GroupParams(n)).all_passed
+    assert len(set(calls)) == len(calls) == products
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_orthogonality(n):
     assert verify_orthogonality(GroupParams(n)).all_passed

@@ -17,8 +17,8 @@ _MODULES = {
     "cohomology": ("CohGroup", "h_group", "predicted_reduced_order"),
     "intmath": ("CyclotomicInt", "IntPoly"),
     "intmatrix": ("SmithForm", "determinant", "hermite_basis_mod", "smith_normal_form"),
-    "kring": ("KElement", "MinimalityCertificate", "basis_change_matrix",
-              "embed_to_R", "minimality_certificates", "reduce", "relations_for",
+    "kring": ("MinimalityCertificate", "basis_change_matrix",
+              "minimality_certificates", "reduce", "relations_for",
               "verify_embedding", "verify_local_confluence", "verify_minimality_witness",
               "verify_relation3_redundant", "verify_relations_in_R"),
     "lens": ("LensElement", "eta_power", "restrict",

@@ -2,9 +2,11 @@
 
 R(Q_{4k}), the presented K-ring, the lens ring Z[eta]/(eta^(2k) - 1) and the
 cyclotomic integers Z[zeta] are each a free Z-module multiplied by a table
-of structure constants.  Their element classes subclass ``Element``, which
-does the module operations and the product; a ``Ring`` builds its table on
-the first product that needs it.
+of structure constants, which a ``Ring`` builds when it is first read.  The
+element classes of R, the lens ring and Z[zeta] subclass ``Element``, which
+does the module operations and the product.  The K-ring has no element
+class: its normal forms are formal polynomials, and its table is what the
+embedding into R is certified on.
 
 Formal polynomials in the generators v1, v2 and phi of the presented ring
 are dictionaries keyed by exponent triples (a, b, c) for v1^a * v2^b * phi^c,

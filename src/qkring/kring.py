@@ -24,12 +24,15 @@ dictionaries, so the rules take them as they are.  Oriented left-to-right,
 every rule strictly decreases (number of v-factors, total degree) in
 lexicographic order, which is what makes ``reduce`` terminate.  (Total
 degree alone does not work: the right side of relation 5 contains
-phi^(k-1).)  Normal forms live on the basis {1, v1, v2, phi, ..., phi^k}.
+phi^(k-1).)  A normal form is the formal polynomial that ``reduce`` leaves,
+on the basis {1, v1, v2, phi, ..., phi^k}; to compute in the ring, reduce
+formal products: ``reduce(fp_mul(f, g), n)``.
 
-Their product contracts a table of basis products, built on the first
-product for each n without the rewriter.  The table finds each rule by the
-monomial it rewrites: a product of basis monomials that leaves the basis
-is a rule's pattern, and the rule's right side is its normal form.
+K's ``Ring``, ``_ring(n)``, holds the table of basis products that
+``verify_embedding`` certifies, built when first read for each n without
+the rewriter; no certifier multiplies with it.  The table finds each rule
+by the monomial it rewrites: a product of basis monomials that leaves the
+basis is a rule's pattern, and the rule's right side is its normal form.
 Multiplication by phi is a linear operator on the basis: phi*1 = phi,
 phi*v1 and phi*v2 are the right sides of relations 4 and 5, phi*phi^j is
 phi^(j+1) for j < k, and phi*phi^k is the right side of relation 3.
@@ -62,8 +65,8 @@ from math import prod
 from operator import add, mul
 
 from .adams import g_poly, psi_series
-from .freemodule import (Element, Mono, Ring, commutative_table, fp_add_term, fp_format,
-                         fp_mul, fp_sum, mono_name)
+from .freemodule import (Mono, Ring, commutative_table, fp_add_term, fp_format, fp_mul,
+                         fp_sum, mono_name)
 from .report import Check, Record, Report
 from .repring import GroupParams, RepElement, canonical_d, eta1, eta2, one, phi_element
 
@@ -170,31 +173,12 @@ def rewrite(expr: dict, rules) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# normal-form elements
+# normal forms and K's table
 # ---------------------------------------------------------------------------
 
 def _basis_monos(k: int):
     """Monomials of the normal-form basis 1, v1, v2, phi, ..., phi^k, in order."""
     return [(0, 0, 0), (1, 0, 0), (0, 1, 0)] + [(0, 0, j) for j in range(1, k + 1)]
-
-
-class KElement(Element):
-    """Normal form over the basis {1, v1, v2, phi, ..., phi^k}."""
-
-    __slots__ = ()
-
-    def __init__(self, n: int, coeffs):
-        super().__init__(_ring(n), coeffs)
-
-    @property
-    def n(self) -> int:
-        return self.ring.param
-
-    def to_fp(self) -> dict:
-        return {mono: c for mono, c in zip(_basis_monos(len(self.coeffs) - 3), self.coeffs) if c}
-
-    def __str__(self) -> str:
-        return fp_format(self.to_fp())
 
 
 @lru_cache(maxsize=None)
@@ -269,19 +253,17 @@ def _table(n: int):
     return commutative_table(k + 3, product)
 
 
-def nf_basis(n: int):
-    size = GroupParams(n).basis_size
-    return [KElement(n, (int(t == i) for t in range(size))) for i in range(size)]
-
-
 def nf_basis_labels(n: int):
     return [mono_name(mono) for mono in _basis_monos(GroupParams(n).k)]
 
 
-def reduce(expr: dict, n: int) -> KElement:
-    """Full normal form of a formal polynomial in v1, v2, phi."""
-    return KElement(n, _coefficients(rewrite(expr, relations_for(n)), GroupParams(n).k,
-                                     "stuck monomial {} survived reduction"))
+def reduce(expr: dict, n: int) -> dict:
+    """Full normal form of a formal polynomial in v1, v2, phi: the formal
+    polynomial that ``rewrite`` leaves under ``relations_for(n)``.  A
+    monomial left off the normal-form basis raises ``ArithmeticError``."""
+    normal = rewrite(expr, relations_for(n))
+    _coefficients(normal, GroupParams(n).k, "stuck monomial {} survived reduction")
+    return normal
 
 
 # ---------------------------------------------------------------------------
@@ -330,19 +312,14 @@ def _embedding(n: int) -> Substitution:
     return Substitution(unit, eta1(params) - unit, eta2(params) - unit, phi_element(params))
 
 
-def embed_to_R(elem: KElement) -> RepElement:
-    """Image of a normal-form element, evaluated by the embedding's
-    ``Substitution``: its coefficients times the images of the basis."""
-    return _embedding(elem.n).of_formal(elem.to_fp())
-
-
 def _basis_change(n: int):
-    """Images of 1, v1, v2, phi, ..., phi^k (the basis-change matrix's rows)
+    """Images of 1, v1, v2, phi, ..., phi^k (the basis-change matrix's rows),
+    each the embedding's ``Substitution.monomial`` of its basis monomial,
     and the determinant of their transpose, which with the row of eta3 moved
     last is unit upper triangular: Bareiss only swaps the eta3 row down."""
     from .intmatrix import determinant  # present never loads it
 
-    images = [embed_to_R(b) for b in nf_basis(n)]
+    images = list(map(_embedding(n).monomial, _basis_monos(GroupParams(n).k)))
     return images, determinant([list(column) for column in zip(*(x.coeffs for x in images))])
 
 
@@ -516,7 +493,8 @@ def verify_local_confluence(n: int) -> Report:
         results = [(r.label, reduce(apply_rule_once(mono, r), n)) for r in applicable]
         split = next((other for other in results[1:] if other[1] != results[0][1]), None)
         detail = (f"{len(applicable)} applicable rules" if split is None else
-                  f"{results[0][0]} gives {results[0][1]}, {split[0]} gives {split[1]}")
+                  f"{results[0][0]} gives {fp_format(results[0][1])}, "
+                  f"{split[0]} gives {fp_format(split[1])}")
         checks.append(Check(mono_name(mono), len(applicable) >= 2 and split is None, detail))
     return Report(f"local confluence, n={n}", tuple(checks))
 

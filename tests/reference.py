@@ -25,6 +25,11 @@ textbook route to a value that the package computes another way:
 * ``apply_rule_once`` adds the rule's terms one by one, where
   ``kring.apply_rule_once`` is one ``fp_mul``;
 * ``restrict`` loops over the d's, where ``lens.restrict`` maps slices;
+* ``nf_basis`` gives the basis of K as elements of ``kring._ring(n)``, whose
+  products contract K's table, ``to_fp`` writes such an element as the
+  formal polynomial that ``kring.reduce`` returns, and ``embed_to_R``
+  evaluates it by the embedding's ``Substitution``: the package computes in
+  K by reducing formal products and forms no element of K;
 * ``embedding_square_reference`` forms and embeds the K product of every
   pair, where ``kring.verify_embedding`` contracts K's table entries with
   the basis-change rows.
@@ -36,6 +41,7 @@ from math import comb
 
 from qkring import kring
 from qkring.adams import psi_oracles
+from qkring.freemodule import Element, fp_format
 from qkring.intmath import CyclotomicInt, IntPoly
 from qkring.intmatrix import determinant
 from qkring.kring import fp_add_term, mono_name
@@ -311,15 +317,34 @@ def restrict(r: RepElement) -> LensElement:
     return LensElement(k, tuple(out))
 
 
+def nf_basis(n: int) -> list:
+    """1, v1, v2, phi, ..., phi^k as elements of K's ring ``kring._ring(n)``."""
+    ring = kring._ring(n)
+    size = len(ring.labels)
+    return [Element(ring, (int(t == i) for t in range(size))) for i in range(size)]
+
+
+def to_fp(elem: Element) -> dict:
+    """An element of K's ring as a formal polynomial on the basis monomials."""
+    monos = kring._basis_monos(len(elem.coeffs) - 3)
+    return {mono: c for mono, c in zip(monos, elem.coeffs) if c}
+
+
+def embed_to_R(elem: Element) -> RepElement:
+    """Image of an element of K's ring, evaluated by the embedding's
+    ``Substitution``: its coefficients times the images of the basis."""
+    return kring._embedding(elem.ring.param).of_formal(to_fp(elem))
+
+
 def embedding_square_reference(n: int) -> Report:
     """``kring.verify_embedding`` with the K side formed as products: the K
     product of every ordered pair of basis elements, each distinct one
     embedded once by ``embed_to_R``, against the same R side."""
-    basis = kring.nf_basis(n)
+    basis = nf_basis(n)
     monos = kring._basis_monos(GroupParams(n).k)
     labels = kring.nf_basis_labels(n)
     monomial = kring._embedding(n).monomial
-    embed = lru_cache(maxsize=None)(kring.embed_to_R)
+    embed = lru_cache(maxsize=None)(embed_to_R)
     _, det = kring._basis_change(n)
     checks = [Check("basis_change_unimodular", abs(det) == 1, f"determinant {det}")]
     for i, a in enumerate(basis):
@@ -329,5 +354,6 @@ def embedding_square_reference(n: int) -> Report:
             rhs = monomial(tuple(x + y for x, y in zip(monos[i], monos[j])))
             ok = lhs == rhs
             checks.append(Check(f"embed({labels[i]}*{labels[j]})", ok,
-                                "" if ok else kring._embedding_witness(prod, lhs, rhs)))
+                                "" if ok else
+                                kring._embedding_witness(fp_format(to_fp(prod)), lhs, rhs)))
     return Report(f"presentation certificate, n={n}", tuple(checks))

@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 from qkring import intmath, kring, lens, repring
 from qkring.freemodule import Element
 from qkring.intmath import CyclotomicInt
-from qkring.kring import KElement
 from qkring.lens import LensElement
 from qkring.repring import GroupParams, RepElement
 
 # ring name -> (ring descriptor, constructor from a full coefficient tuple)
 RINGS = {
     "R": (lambda: repring._ring(4), lambda cs: RepElement(GroupParams(4), cs)),
-    "K": (lambda: kring._ring(4), lambda cs: KElement(4, cs)),
+    "K": (lambda: kring._ring(4), lambda cs: Element(kring._ring(4), cs)),
     "lens": (lambda: lens._ring(4), lambda cs: LensElement(4, cs)),
     "Z[zeta]": (lambda: intmath._ring(8), lambda cs: CyclotomicInt(8, cs)),
 }

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkring import kring, lens
+from qkring import cli, kring, lens
 from qkring.adams import g_poly
-from qkring.kring import (KElement, apply_rule_once, basis_change_matrix,
-                          embed_to_R, fp_mul,
-                          minimality_certificates, mono_name, nf_basis,
+from qkring.freemodule import Element, fp_format
+from qkring.kring import (apply_rule_once, basis_change_matrix, fp_mul,
+                          minimality_certificates, mono_name,
                           nf_basis_labels, reduce, relation,
                           relations_for, rewrite, verify_embedding,
                           verify_local_confluence, verify_minimality_witness,
@@ -20,14 +20,16 @@ from qkring.kring import (KElement, apply_rule_once, basis_change_matrix,
 from qkring.repring import GroupParams, RepElement, eta1, eta2, one, phi_element
 
 import reference
+from reference import embed_to_R, nf_basis, to_fp
 
 V1, V2, PHI = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
 
 def ke(n, c0=0, v1=0, v2=0, phi=()):
+    """The element of K's ring with these coefficients on 1, v1, v2, phi, ..."""
     k = GroupParams(n).k
     phi = tuple(phi) + (0,) * (k - len(phi))
-    return KElement(n, (c0, v1, v2) + phi)
+    return Element(kring._ring(n), (c0, v1, v2) + phi)
 
 
 def test_relation_right_sides():
@@ -45,19 +47,19 @@ def test_relation_right_sides():
 
 
 def test_reduce_examples():
-    assert reduce({(1, 1, 0): 1}, 3) == ke(3, v1=-2, v2=-2, phi=(4, 1))
+    assert reduce({(1, 1, 0): 1}, 3) == to_fp(ke(3, v1=-2, v2=-2, phi=(4, 1)))
     for n in (3, 4, 5):
-        assert reduce({(1, 0, 1): 1}, n) == ke(n, v1=-2)
+        assert reduce({(1, 0, 1): 1}, n) == to_fp(ke(n, v1=-2))
     # phi^3 at k=2 falls back through g_4 = phi^3 + 6*phi^2 + 8*phi
-    assert reduce({(0, 0, 3): 1}, 3) == ke(3, phi=(-8, -6))
-    assert reduce({}, 3) == ke(3)
+    assert reduce({(0, 0, 3): 1}, 3) == to_fp(ke(3, phi=(-8, -6)))
+    assert reduce({}, 3) == {}
 
 
 def test_reduce_idempotent_on_normal_forms():
     pairs = [(a, b) for a in nf_basis(4) for b in nf_basis(4)]
     for a, b in pairs:
-        nf = a * b
-        assert reduce(nf.to_fp(), 4) == nf
+        nf = to_fp(a * b)
+        assert reduce(nf, 4) == nf
 
 
 @settings(max_examples=30)
@@ -66,7 +68,40 @@ def test_reduce_idempotent_random(n, data):
     monos = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 6))
     fp = data.draw(st.dictionaries(monos, st.integers(-5, 5), max_size=5))
     nf = reduce(fp, n)
-    assert reduce(nf.to_fp(), n) == nf
+    assert reduce(nf, n) == nf
+
+
+def test_dropped_rule_names_its_stuck_monomial(monkeypatch, capsys):
+    # without relation 2, v2^2 is stuck: reduce names it, and verify exits 2
+    true_relations = kring.relations_for
+    monkeypatch.setattr(kring, "relations_for", lambda n: tuple(
+        r for r in true_relations(n) if r.label != "relation2"))
+    with pytest.raises(ArithmeticError, match=r"^stuck monomial v2\^2 survived reduction$"):
+        reduce({(0, 2, 0): 1}, 3)
+    for n in (3, 4, 5):
+        assert cli.main(["verify", "--n", str(n), "--suite", "confluence"]) == 2
+        assert capsys.readouterr().err == "error: stuck monomial v2^2 survived reduction\n"
+
+
+def _formal_polynomials(k):
+    """Formal polynomials with v-degrees <= 2 and phi-degree <= k + 2."""
+    monos = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, k + 2))
+    return st.dictionaries(monos, st.integers(-9, 9).filter(bool), max_size=5)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@settings(max_examples=50)
+@given(data=st.data())
+def test_reduce_of_a_product_is_the_table_product(n, data):
+    # reducing a formal product agrees with K's table contracting the two
+    # reduced factors, for whole polynomials and not only basis pairs
+    k = GroupParams(n).k
+    f, g = (data.draw(_formal_polynomials(k)) for _ in range(2))
+
+    def element(fp):
+        return Element(kring._ring(n), kring._coefficients(reduce(fp, n), k, "{}"))
+
+    assert reduce(fp_mul(f, g), n) == to_fp(element(f) * element(g))
 
 
 def test_nf_product_examples():
@@ -114,22 +149,48 @@ def test_embedding_square_matches_all_pairs_reference(n):
     assert report == reference.embedding_square_reference(n)
 
 
-def test_embedding_square_forms_no_k_product(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the embedding square formed a K product")
+@pytest.fixture
+def refuse_k_elements(monkeypatch):
+    """Building an element of K's ring, by constructor or by arithmetic, raises."""
+    true_init, true_new = Element.__init__, Element._new
 
-    monkeypatch.setattr(KElement, "__mul__", refuse)
+    def refuse(ring):
+        if ring.name.startswith("K("):
+            raise AssertionError(f"an element of {ring.name} was built")
+
+    def init(self, ring, coeffs):
+        refuse(ring)
+        true_init(self, ring, coeffs)
+
+    def new(self, coeffs):
+        refuse(self.ring)
+        return true_new(self, coeffs)
+
+    monkeypatch.setattr(Element, "__init__", init)
+    monkeypatch.setattr(Element, "_new", new)
+
+
+def test_embedding_square_forms_no_k_product(refuse_k_elements):
     for n in range(3, 9):
         assert verify_embedding(n).all_passed, n
+
+
+def test_running_code_builds_no_k_element(refuse_k_elements):
+    # K's normal forms are formal polynomials: every suite and the basis
+    # change run without an element of K's ring
+    for n in range(3, 7):
+        assert cli._run_suite(n, "all").all_passed, n
+        assert basis_change_matrix(n)[1], n
 
 
 @settings(max_examples=40)
 @given(st.sampled_from([3, 4, 5, 6]), st.data())
 def test_embedding_is_the_basis_change_matrix(n, data):
-    # embed_to_R evaluates through the Substitution; it must still be the
+    # the Substitution evaluates a whole normal form; it must still be the
     # coefficient vector times the rows of basis_change_matrix
     size = GroupParams(n).basis_size
-    x = KElement(n, data.draw(st.lists(st.integers(-50, 50), min_size=size, max_size=size)))
+    x = Element(kring._ring(n),
+                data.draw(st.lists(st.integers(-50, 50), min_size=size, max_size=size)))
     rows, _ = basis_change_matrix(n)
     expected = [sum(c * row[s] for c, row in zip(x.coeffs, rows)) for s in range(size)]
     assert embed_to_R(x) == RepElement(GroupParams(n), expected)
@@ -349,8 +410,8 @@ def test_linear_relation_consequence():
         fp = {PHI: 4 * k}
         for e, c in f.items():
             fp[(0, 0, e + 2)] = fp.get((0, 0, e + 2), 0) - c
-        assert reduce(fp, n) == ke(n)
-        assert reduce(g, n) == ke(n)
+        assert reduce(fp, n) == {}
+        assert reduce(g, n) == {}
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -362,7 +423,7 @@ def test_verify_embedding_report(n):
 
 
 def test_str_and_labels():
-    assert str(ke(3, c0=1, v1=-2, phi=(0, 3))) == "3*phi^2 - 2*v1 + 1"
+    assert fp_format(to_fp(ke(3, c0=1, v1=-2, phi=(0, 3)))) == "3*phi^2 - 2*v1 + 1"
     assert mono_name((1, 2, 3)) == "v1*v2^2*phi^3"
     assert mono_name((0, 0, 0)) == "1"
     assert nf_basis_labels(3) == ["1", "v1", "v2", "phi", "phi^2"]
@@ -388,7 +449,8 @@ def test_k_table_matches_the_rewriter(n):
     for i, a in enumerate(monos):
         for j in range(i, len(monos)):
             mono = tuple(x + y for x, y in zip(a, monos[j]))
-            expected = tuple((t, c) for t, c in enumerate(reduce({mono: 1}, n).coeffs) if c)
+            normal = reduce({mono: 1}, n)
+            expected = tuple((t, normal[m]) for t, m in enumerate(monos) if m in normal)
             assert table[i][j] == table[j][i] == expected, (i, j)
 
 
@@ -400,5 +462,5 @@ def test_k_table_built_on_first_product_only():
     verify_local_confluence(5)
     assert "table" not in vars(ring)
     _, v1, v2, *_ = nf_basis(5)
-    assert v1 * v2 == reduce({(1, 1, 0): 1}, 5)
+    assert to_fp(v1 * v2) == reduce({(1, 1, 0): 1}, 5)
     assert "table" in vars(ring)

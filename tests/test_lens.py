@@ -6,14 +6,14 @@ from hypothesis import strategies as st
 
 from qkring import kring, lens
 from qkring.adams import psi_series
-from qkring.kring import embed_to_R, fp_mul, nf_basis, relation, relations_for
+from qkring.kring import fp_mul, relation, relations_for
 from qkring.lens import (LensElement, eta_power, lens_one,
                          lens_zero, restrict, verify_relations_vanish,
                          verify_restriction_hom, w_element)
 from qkring.repring import (GroupParams, RepElement, basis_elements,
                             canonical_d, eta1, phi_element)
 import reference
-from reference import dense, horner
+from reference import dense, embed_to_R, horner, nf_basis
 
 
 def test_eta_relation():

@@ -13,7 +13,7 @@ import re
 import pytest
 
 from qkring import adams, cli, intmath, kring, lens, repring, truncation
-from qkring.freemodule import fp_sum
+from qkring.freemodule import Element, fp_sum
 from qkring.repring import GroupParams
 from reference import (ClassFunction, character_of, character_table, embedding_square_reference,
                        inner_product, pointwise)
@@ -584,7 +584,7 @@ def test_every_read_cyclotomic_entry_is_caught_when_planted(
 # ring, pair (i, j) with a nonzero product, constructor from coefficients
 ONE_SIDED = {
     "R": (lambda: repring._ring(4), (4, 5), lambda cs: repring.RepElement(GroupParams(4), cs)),
-    "K": (lambda: kring._ring(4), (3, 4), lambda cs: kring.KElement(4, cs)),
+    "K": (lambda: kring._ring(4), (3, 4), lambda cs: Element(kring._ring(4), cs)),
     "lens": (lambda: lens._ring(4), (1, 2), lambda cs: lens.LensElement(4, cs)),
     "Z[zeta]": (lambda: intmath._ring(8), (1, 2), lambda cs: intmath.CyclotomicInt(8, cs)),
 }
@@ -672,12 +672,12 @@ def test_changed_g_poly_shows_the_difference(monkeypatch, capsys):
          "detail": "g_4 - psi^3 + psi^1 = -3*phi^2"}]
 
 
-def test_doubled_image_row_shows_the_determinant(monkeypatch, capsys):
+def test_doubled_image_row_shows_the_determinant(monkeypatch, capsys, fresh_caches):
     # the image of phi^2 planted as twice itself: |det| becomes 2
-    true_embed = kring.embed_to_R
-    phi2 = kring.nf_basis(3)[4]
-    monkeypatch.setattr(kring, "embed_to_R", lambda elem: (
-        2 * true_embed(elem) if elem == phi2 else true_embed(elem)))
+    embedding = kring._embedding(3)
+    true_monomial = embedding.monomial
+    monkeypatch.setattr(embedding, "monomial", lambda mono: (
+        2 * true_monomial(mono) if mono == (0, 0, 2) else true_monomial(mono)))
     failures = _failed_checks(capsys, ["verify", "--n", "3", "--suite", "oracle"])
     assert failures[0] == {"name": "basis_change_unimodular", "passed": False,
                            "detail": "determinant -2"}
